@@ -130,17 +130,21 @@ def _field_scalar(a, b, k1, k2, m, x, y):
     return v1, v2
 
 
+def _field_batch(a, b, k1, k2, m, x, y):
+    """Array evaluation of the vector field; every argument broadcasts."""
+    u = np.maximum(x - m, 0.0)
+    v1 = x * (1.0 - x) - a * y * u / (k1 + u)
+    v2 = b * y * (1.0 - y / (k2 + u))
+    return v1, v2
+
+
 def vector_field(p: ModelParams, state):
     """Velocity (v1, v2) at a state; broadcasts over array-valued states."""
     x, y = state
     if isinstance(x, float) and isinstance(y, float):
         return _field_scalar(p.a, p.b, p.k1, p.k2, p.m, x, y)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    u = np.maximum(0.0, x - p.m)
-    v1 = x * (1.0 - x) - p.a * y * u / (p.k1 + u)
-    v2 = p.b * y * (1.0 - y / (p.k2 + u))
-    return v1, v2
+    return _field_batch(p.a, p.b, p.k1, p.k2, p.m,
+                        np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
 
 def jacobian(p: ModelParams, state) -> np.ndarray:

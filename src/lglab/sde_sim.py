@@ -16,13 +16,13 @@ merely up to discretization error.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PositivityViolation
-from .model import ModelParams, _field_scalar
+from .model import ModelParams, _field_batch, _field_scalar
+from .ode_sim import _write_rows
 from .qualitative import STATIONARY, Region, stochastic_regime
 
 MILSTEIN = "Milstein"
@@ -246,30 +246,13 @@ def comparison_bundle(p: ModelParams, init, noise: NoisePath,
                             x_lower=xl, y_lower=yl)
 
 
-def _batch_generators(seed0: int, n_paths: int):
-    g1 = [_component_rng(seed0 + i, 0) for i in range(n_paths)]
-    g2 = [_component_rng(seed0 + i, 1) for i in range(n_paths)]
-    return g1, g2
-
-
 def _draw_chunk(gens, size: int) -> np.ndarray:
     return np.stack([g.standard_normal(size) for g in gens], axis=1)
 
 
-def n_workers() -> int:
-    """Thread cap honored by ensemble runs (LG_LAB_THREADS, default 1)."""
-    try:
-        return max(1, int(os.environ.get("LG_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _step_batch(scheme, p, x, y, g1, g2, h, sqh, path_offset):
-    a, b, k1, k2, m = p.a, p.b, p.k1, p.k2, p.m
+def _step_batch(scheme, p, x, y, g1, g2, h, sqh):
     s1, s2 = p.sigma1, p.sigma2
-    u = np.maximum(x - m, 0.0)
-    v1 = x * (1.0 - x) - a * y * u / (k1 + u)
-    v2 = b * y * (1.0 - y / (k2 + u))
+    v1, v2 = _field_batch(p.a, p.b, p.k1, p.k2, p.m, x, y)
     if scheme == MILSTEIN:
         xn = x + (v1 * h + s1 * x * sqh * g1
                   + 0.5 * s1 * s1 * x * (h * g1 * g1 - h))
@@ -278,7 +261,7 @@ def _step_batch(scheme, p, x, y, g1, g2, h, sqh, path_offset):
         bad = ((xn <= 0.0) & (x > 0.0)) | ((yn <= 0.0) & (y > 0.0))
         if bad.any():
             raise PositivityViolation(
-                f"positivity lost on path {int(path_offset + np.argmax(bad))}")
+                f"positivity lost on path {int(np.argmax(bad))}")
         return xn, yn
     with np.errstate(divide="ignore", invalid="ignore"):
         xn = np.where(x > 0.0,
@@ -292,6 +275,61 @@ def _step_batch(scheme, p, x, y, g1, g2, h, sqh, path_offset):
     return xn, yn
 
 
+def _lockstep(p: ModelParams, scheme: str, init, n_paths: int, seed0: int,
+              h: float, t_end: float):
+    """Paths seeded seed0 .. seed0 + n_paths - 1, advanced in lockstep.
+
+    Validates the run up front, then returns an iterator of (step, x, y)
+    for step 0 .. round(t_end / h), where x[i], y[i] is the state of path
+    i.  Path i draws from the same generators as simulate_path with seed
+    seed0 + i.  Noise is drawn _CHUNK steps at a time when the consumer
+    asks for the first step of a chunk, so one that stops early draws no
+    further chunk.
+    """
+    x0, y0 = float(init[0]), float(init[1])
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    if not h > 0:
+        raise ValueError("need h > 0")
+    if not t_end >= 0:
+        raise ValueError("horizon must be >= 0")
+    if scheme not in (MILSTEIN, LOG_EULER):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if x0 < 0 or y0 < 0:
+        raise ValueError("initial state must lie in the closed quadrant")
+    n = int(round(t_end / h))
+
+    def states():
+        sqh = math.sqrt(h)
+        g1 = [_component_rng(seed0 + i, 0) for i in range(n_paths)]
+        g2 = [_component_rng(seed0 + i, 1) for i in range(n_paths)]
+        x = np.full(n_paths, x0)
+        y = np.full(n_paths, y0)
+        yield 0, x, y
+        step = 0
+        while step < n:
+            span = min(_CHUNK, n - step)
+            c1 = _draw_chunk(g1, span)
+            c2 = _draw_chunk(g2, span)
+            for j in range(span):
+                x, y = _step_batch(scheme, p, x, y, c1[j], c2[j], h, sqh)
+                step += 1
+                yield step, x, y
+
+    return states()
+
+
+def _bin2d(x, y, bins: int) -> tuple[np.ndarray, int]:
+    """Counts of the points (x, y) on the [0, HIST_RANGE)^2 grid, and how
+    many points fall outside it."""
+    w = HIST_RANGE / bins
+    inside = (x < HIST_RANGE) & (y < HIST_RANGE)
+    counts = np.zeros((bins, bins), dtype=np.int64)
+    np.add.at(counts, (np.floor(x[inside] / w).astype(int),
+                       np.floor(y[inside] / w).astype(int)), 1)
+    return counts, int((~inside).sum())
+
+
 def ensemble(p: ModelParams, init, scheme: str, n_paths: int, seed0: int,
              t_max: float, checkpoints, h: float = 1e-2,
              burn_in: float = 0.0, bins: int = 50,
@@ -301,97 +339,37 @@ def ensemble(p: ModelParams, init, scheme: str, n_paths: int, seed0: int,
     Paths advance in lockstep so moments at each checkpoint are direct
     cross-path reductions; the histogram pools every hist_thin-th
     post-burn-in state of every path.  Noise is drawn per path from the
-    same generators a single simulate_path run would use.
+    same generators a single simulate_path run would use.  Checkpoints
+    must lie in [0, t_max] and round to distinct grid steps.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    n = int(round(t_max / h))
-    sqh = math.sqrt(h)
+    states = _lockstep(p, scheme, init, n_paths, seed0, h, t_max)
     ck_times = np.asarray(checkpoints, dtype=float)
+    if not ((ck_times >= 0.0) & (ck_times <= t_max)).all():
+        raise ValueError("checkpoints must lie in [0, t_max]")
     ck_steps = {int(round(t / h)): i for i, t in enumerate(ck_times)}
+    if len(ck_steps) < len(ck_times):
+        raise ValueError("checkpoints must fall on distinct grid steps")
     burn_step = int(round(burn_in / h))
-    edges = np.linspace(0.0, HIST_RANGE, bins + 1)
 
-    def run_block(lo, hi):
-        """Simulate paths [lo, hi) in lockstep; return additive partials."""
-        width = hi - lo
-        x = np.full(width, float(init[0]))
-        y = np.full(width, float(init[1]))
-        g1, g2 = _batch_generators(seed0 + lo, width)
-        s = np.zeros((len(ck_times), 2))
-        sq = np.zeros((len(ck_times), 2))
-        counts = np.zeros((bins, bins), dtype=np.int64)
-        overflow = 0
-
-        def record_hist(xv, yv):
-            nonlocal overflow
-            inside = (xv < HIST_RANGE) & (yv < HIST_RANGE)
-            overflow += int((~inside).sum())
-            if inside.any():
-                w = HIST_RANGE / bins
-                np.add.at(counts,
-                          (np.floor(xv[inside] / w).astype(int),
-                           np.floor(yv[inside] / w).astype(int)), 1)
-
-        def record_ck(step):
-            i = ck_steps.get(step)
-            if i is not None:
-                s[i] = (x.sum(), y.sum())
-                sq[i] = ((x * x).sum(), (y * y).sum())
-
-        record_ck(0)
-        if burn_step == 0:
-            record_hist(x, y)
-        step = 0
-        while step < n:
-            span = min(_CHUNK, n - step)
-            c1 = _draw_chunk(g1, span)
-            c2 = _draw_chunk(g2, span)
-            for j in range(span):
-                x, y = _step_batch(scheme, p, x, y, c1[j], c2[j], h, sqh, lo)
-                step += 1
-                record_ck(step)
-                if step >= burn_step and step % hist_thin == 0:
-                    record_hist(x, y)
-        ext = (int((x < EXTINCTION_THRESHOLD).sum()),
-               int((y < EXTINCTION_THRESHOLD).sum()))
-        return s, sq, counts, overflow, ext
-
-    workers = min(n_workers(), n_paths)
-    bounds = np.linspace(0, n_paths, workers + 1).astype(int)
-    blocks = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-    if len(blocks) == 1:
-        results = [run_block(*blocks[0])]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            results = list(pool.map(lambda ab: run_block(*ab), blocks))
-
-    s = sum(r[0] for r in results)
-    sq = sum(r[1] for r in results)
-    counts = sum(r[2] for r in results)
-    overflow = sum(r[3] for r in results)
-    ext_x = sum(r[4][0] for r in results) / n_paths
-    ext_y = sum(r[4][1] for r in results) / n_paths
-    mean = s / n_paths
-    var = sq / n_paths - mean ** 2
-    return EnsembleStats(n_paths=n_paths, checkpoint_times=ck_times,
-                         mean=mean, variance=np.maximum(var, 0.0),
-                         extinction_fraction_x=float(ext_x),
-                         extinction_fraction_y=float(ext_y),
-                         hist_counts=counts, hist_edges=edges,
-                         hist_overflow=overflow)
-
-
-def _histogram_from_path(states, bins):
-    w = HIST_RANGE / bins
-    xv, yv = states[:, 0], states[:, 1]
-    inside = (xv < HIST_RANGE) & (yv < HIST_RANGE)
+    mean = np.zeros((len(ck_times), 2))
+    var = np.zeros((len(ck_times), 2))
     counts = np.zeros((bins, bins), dtype=np.int64)
-    hi = np.floor(xv[inside] / w).astype(int)
-    hj = np.floor(yv[inside] / w).astype(int)
-    np.add.at(counts, (hi, hj), 1)
-    return counts, int((~inside).sum())
+    overflow = 0
+    for step, x, y in states:
+        i = ck_steps.get(step)
+        if i is not None:
+            mean[i] = x.mean(), y.mean()
+            var[i] = x.var(), y.var()
+        if step >= burn_step and step % hist_thin == 0:
+            c, o = _bin2d(x, y, bins)
+            counts += c
+            overflow += o
+    return EnsembleStats(
+        n_paths=n_paths, checkpoint_times=ck_times, mean=mean, variance=var,
+        extinction_fraction_x=float((x < EXTINCTION_THRESHOLD).mean()),
+        extinction_fraction_y=float((y < EXTINCTION_THRESHOLD).mean()),
+        hist_counts=counts, hist_edges=np.linspace(0.0, HIST_RANGE, bins + 1),
+        hist_overflow=overflow)
 
 
 def _l1(c1, c2) -> float:
@@ -424,12 +402,12 @@ def stationary_histogram(p: ModelParams, scheme: str, seed: int,
         return path.states[int(round(burn_in / h)):]
 
     tail = tail_states(seed)
-    counts, overflow = _histogram_from_path(tail, bins)
+    counts, overflow = _bin2d(*tail.T, bins)
     half = len(tail) // 2
-    c_a, _ = _histogram_from_path(tail[:half], bins)
-    c_b, _ = _histogram_from_path(tail[half:], bins)
+    c_a, _ = _bin2d(*tail[:half].T, bins)
+    c_b, _ = _bin2d(*tail[half:].T, bins)
     tail2 = tail_states(seed + 1 if seed2 is None else seed2)
-    c_other, _ = _histogram_from_path(tail2, bins)
+    c_other, _ = _bin2d(*tail2.T, bins)
 
     edges = np.linspace(0.0, HIST_RANGE, bins + 1)
     return StationaryReport(counts=counts, edges=edges, overflow=overflow,
@@ -445,31 +423,14 @@ def hitting_time(p: ModelParams, scheme: str, init, target: Region,
 
     Paths that never enter before t_cap contribute t_cap (censored).
     """
-    n = int(round(t_cap / h))
-    sqh = math.sqrt(h)
-    x = np.full(n_paths, float(init[0]))
-    y = np.full(n_paths, float(init[1]))
-    g1, g2 = _batch_generators(seed0, n_paths)
+    states = _lockstep(p, scheme, init, n_paths, seed0, h, t_cap)
     hit = np.full(n_paths, np.nan)
-
-    def mark(step):
+    for step, x, y in states:
         inside = ((target.x_lo <= x) & (x <= target.x_hi)
                   & (target.y_lo <= y) & (y < target.y_hi))
-        fresh = inside & np.isnan(hit)
-        hit[fresh] = step * h
-
-    mark(0)
-    step = 0
-    while step < n and np.isnan(hit).any():
-        span = min(_CHUNK, n - step)
-        c1 = _draw_chunk(g1, span)
-        c2 = _draw_chunk(g2, span)
-        for j in range(span):
-            x, y = _step_batch(scheme, p, x, y, c1[j], c2[j], h, sqh, 0)
-            step += 1
-            mark(step)
-            if not np.isnan(hit).any():
-                break
+        hit[inside & np.isnan(hit)] = step * h
+        if not np.isnan(hit).any():
+            break
 
     censored = np.isnan(hit)
     times = np.where(censored, t_cap, hit)
@@ -482,12 +443,9 @@ def write_path_csv(bundle_or_path, fileobj) -> None:
     """CSV with `t,x,y` and, for bundles, the four comparison columns."""
     if isinstance(bundle_or_path, ComparisonBundle):
         b = bundle_or_path
-        fileobj.write("t,x,y,x_upper,y_upper,x_lower,y_lower\n")
-        for row in zip(b.times, b.x, b.y, b.x_upper, b.y_upper,
-                       b.x_lower, b.y_lower):
-            fileobj.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        _write_rows(fileobj, "t,x,y,x_upper,y_upper,x_lower,y_lower",
+                    (b.times, b.x, b.y, b.x_upper, b.y_upper,
+                     b.x_lower, b.y_lower))
     else:
         path = bundle_or_path
-        fileobj.write("t,x,y\n")
-        for t, (xv, yv) in zip(path.times, path.states):
-            fileobj.write(f"{t:.17g},{xv:.17g},{yv:.17g}\n")
+        _write_rows(fileobj, "t,x,y", (path.times, path.x, path.y))

@@ -134,6 +134,13 @@ class TestSde:
         jsonschema.validate(payload, load_schema("hitting_v1.json"))
         assert payload["mean"] == 0.0
 
+    def test_hitting_no_paths_is_exit_1(self, capsys):
+        code, out = run(capsys, ["sde", "hitting", *STOCH, "--seed", "0",
+                                 "--paths", "0", "--t-cap", "5",
+                                 "--target", "0,2,0,2"])
+        assert code == 1
+        assert "n_paths" in out.err
+
     def test_hitting_requires_target(self, capsys):
         code, out = run(capsys, ["sde", "hitting", *STOCH, "--seed", "0"])
         assert code == 1

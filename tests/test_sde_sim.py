@@ -1,6 +1,7 @@
 import io
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,8 +50,6 @@ class TestPath:
             assert np.array_equal(a.states, b.states)
 
     def test_zero_noise_milstein_equals_euler(self):
-        from dataclasses import replace
-
         from lglab.ode_sim import EULER, integrate
         p = replace(STOCH, sigma1=0.0, sigma2=0.0)
         noise = make_noise(1, 0.01, 500)
@@ -127,13 +126,49 @@ class TestComparison:
 
 
 class TestEnsemble:
-    def test_single_path_matches_scalar(self):
-        stats = ensemble(STOCH, (0.55, 0.6), LOG_EULER, n_paths=1, seed0=9,
+    @pytest.mark.parametrize("scheme", [LOG_EULER, MILSTEIN])
+    def test_single_path_matches_scalar(self, scheme):
+        stats = ensemble(STOCH, (0.55, 0.6), scheme, n_paths=1, seed0=9,
                          t_max=5.0, checkpoints=[5.0], h=0.01)
         noise = make_noise(9, 0.01, 500)
-        sp = simulate_path(STOCH, (0.55, 0.6), LOG_EULER, noise)
+        sp = simulate_path(STOCH, (0.55, 0.6), scheme, noise)
         assert stats.mean[0][0] == pytest.approx(sp.x[-1], rel=1e-12)
         assert stats.mean[0][1] == pytest.approx(sp.y[-1], rel=1e-12)
+
+    # the tiny-noise case has a spread ~1e-10 of the mean, far below what
+    # E[x^2] - E[x]^2 can resolve in doubles
+    @pytest.mark.parametrize("scheme, p", [
+        (LOG_EULER, STOCH),
+        (MILSTEIN, STOCH),
+        (MILSTEIN, replace(STOCH, sigma1=1e-9, sigma2=1e-9)),
+    ])
+    def test_moments_match_scalar_loop(self, scheme, p):
+        seed0, n_paths = 4, 8
+        stats = ensemble(p, (0.55, 0.6), scheme, n_paths=n_paths,
+                         seed0=seed0, t_max=3.0, checkpoints=[1.0, 3.0],
+                         h=0.01)
+        paths = [simulate_path(p, (0.55, 0.6), scheme,
+                               make_noise(seed0 + i, 0.01, 300)).states
+                 for i in range(n_paths)]
+        for i, step in enumerate((100, 300)):
+            finals = np.array([s[step] for s in paths])
+            assert np.allclose(stats.mean[i], finals.mean(axis=0),
+                               rtol=1e-12, atol=0)
+            assert np.allclose(stats.variance[i], finals.var(axis=0),
+                               rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("checkpoints", [[1.0, 1.0, 2.0], [1.0, 1.001],
+                                             [3.0], [-0.5], [float("nan")]])
+    def test_bad_checkpoints_rejected(self, checkpoints):
+        with pytest.raises(ValueError, match="checkpoint"):
+            ensemble(STOCH, (0.55, 0.6), LOG_EULER, n_paths=2, seed0=0,
+                     t_max=2.0, checkpoints=checkpoints, h=0.01)
+
+    def test_endpoint_checkpoints_allowed(self):
+        stats = ensemble(STOCH, (0.55, 0.6), LOG_EULER, n_paths=2, seed0=0,
+                         t_max=2.0, checkpoints=[0.0, 2.0], h=0.01)
+        assert np.array_equal(stats.mean[0], [0.55, 0.6])
+        assert np.array_equal(stats.variance[0], [0.0, 0.0])
 
     def test_histogram_mass(self):
         stats = ensemble(STOCH, (0.55, 0.6), LOG_EULER, n_paths=16, seed0=0,
@@ -194,3 +229,56 @@ class TestHitting:
                            n_paths=5, seed0=0, t_cap=2.0, h=0.01)
         assert rep.fraction_censored == 1.0
         assert math.isnan(rep.mean) or rep.mean >= 2.0
+
+    @pytest.mark.parametrize("scheme", [LOG_EULER, MILSTEIN])
+    def test_entries_match_scalar_paths(self, scheme):
+        target = Region(0.0, 0.5, 0.0, 2.0)
+        seed0, n_paths, h, t_cap = 2, 6, 0.01, 20.0
+        rep = hitting_time(STOCH, scheme, (0.7, 0.6), target,
+                           n_paths=n_paths, seed0=seed0, t_cap=t_cap, h=h)
+        for i in range(n_paths):
+            sp = simulate_path(STOCH, (0.7, 0.6), scheme,
+                               make_noise(seed0 + i, h, 2000))
+            inside = ((target.x_lo <= sp.x) & (sp.x <= target.x_hi)
+                      & (target.y_lo <= sp.y) & (sp.y < target.y_hi))
+            expected = sp.times[np.argmax(inside)] if inside.any() else t_cap
+            assert rep.times[i] == expected
+
+
+class TestLockstepValidation:
+    """ensemble and hitting_time refuse what simulate_path refuses."""
+
+    TARGET = Region(0.0, 2.0, 0.0, 2.0)
+
+    def run(self, which, init=(0.55, 0.6), scheme=LOG_EULER, n_paths=3,
+            h=0.01, t_end=1.0):
+        if which == "ensemble":
+            return ensemble(STOCH, init, scheme, n_paths=n_paths, seed0=0,
+                            t_max=t_end, checkpoints=[], h=h)
+        return hitting_time(STOCH, scheme, init, self.TARGET,
+                            n_paths=n_paths, seed0=0, t_cap=t_end, h=h)
+
+    @pytest.mark.parametrize("which", ["ensemble", "hitting"])
+    @pytest.mark.parametrize("bad, match", [
+        (dict(n_paths=0), "n_paths"),
+        (dict(h=0.0), "h > 0"),
+        (dict(h=-0.01), "h > 0"),
+        (dict(scheme="RK4"), "unknown scheme"),
+        (dict(init=(-0.5, 0.6)), "closed quadrant"),
+        (dict(init=(0.55, -1e-9)), "closed quadrant"),
+        (dict(t_end=-1.0), "horizon"),
+    ])
+    def test_bad_input_raises(self, which, bad, match):
+        with pytest.raises(ValueError, match=match):
+            self.run(which, **bad)
+
+    def test_messages_match_simulate_path(self):
+        noise = make_noise(0, 0.01, 10)
+        for kw, args in ((dict(init=(-0.5, 0.6)), ((-0.5, 0.6), LOG_EULER)),
+                         (dict(scheme="RK4"), ((0.55, 0.6), "RK4"))):
+            with pytest.raises(ValueError) as scalar:
+                simulate_path(STOCH, *args, noise)
+            for which in ("ensemble", "hitting"):
+                with pytest.raises(ValueError) as batch:
+                    self.run(which, **kw)
+                assert str(batch.value) == str(scalar.value)
