@@ -162,7 +162,6 @@ def analysis_report(p: ModelParams, want_hopf: bool = False) -> dict:
             "stochastic_regime": qualitative.stochastic_regime(p).to_dict(),
         },
         "hopf": hopf,
-        "cycle": None,
     }
 
 
@@ -208,8 +207,8 @@ def cmd_sde(args) -> int:
     scheme = sde_sim.MILSTEIN if args.scheme == "milstein" else sde_sim.LOG_EULER
 
     if args.mode == "path":
-        n = int(round(args.t_max / args.h))
-        noise = sde_sim.make_noise(args.seed, args.h, n)
+        n = int(round(args.t_max / args.h)) if args.h > 0 else 0
+        noise = sde_sim.make_noise(args.seed, args.h, n)  # rejects h <= 0
         if args.comparison:
             bundle = sde_sim.comparison_bundle(p, (args.x0, args.y0), noise)
             buf = io.StringIO()
@@ -246,7 +245,8 @@ def cmd_sde(args) -> int:
 
     if args.mode == "stationary":
         rep = sde_sim.stationary_histogram(
-            p, scheme, args.seed, args.burn_in or 100.0, args.t_max,
+            p, scheme, args.seed,
+            args.burn_in if args.burn_in is not None else 100.0, args.t_max,
             bins=args.bins, h=args.h, init=(args.x0, args.y0))
         payload = {
             "schema": "lglab/stationary", "schema_version": SCHEMA_VERSION,

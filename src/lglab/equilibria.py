@@ -6,9 +6,12 @@ Interior equilibria are the roots X = x - m of the cubic
 
 in (0, 1-m), paired with y = k2 + X.  The count is predicted by Routh's
 sign-change scheme combined with Tong's three-real-roots criterion; the
-located roots must agree with that prediction.  Classification uses the
+roots, located by bisection-safeguarded Newton steps on the monotone
+pieces of R, must agree with that prediction.  Classification uses the
 negative trace s, determinant p and discriminant s^2 - 4p of the Jacobian,
 with documented fallbacks for the semi-hyperbolic and nilpotent cases.
+The first Lyapunov coefficient at a Hopf point is built from closed-form
+second and third partials of the field, so numpy is the only dependency.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     NoHopf,
@@ -42,6 +44,7 @@ TOPOLOGICAL_SADDLE = "TopologicalSaddle"
 ATTRACTING_TOPOLOGICAL_NODE = "AttractingTopologicalNode"
 
 HYPERBOLIC_EPS = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 _INDEX = {
     SADDLE: -1,
@@ -178,28 +181,31 @@ def _trace_det(p: ModelParams, x: float, y: float):
     return s, det
 
 
-def _polish(c: CubicCoeffs, X: float, lo: float, hi: float) -> float:
-    # a few Newton steps inside the bracket; bisection already got us close
-    for _ in range(5):
+def _root_in_bracket(c: CubicCoeffs, lo: float, hi: float) -> float:
+    """Root of R on a bracket where R is monotone and changes sign: Newton
+    from the midpoint, bisecting when a step would leave the shrinking bracket."""
+    rising = c.value(hi) > 0.0
+    X = 0.5 * (lo + hi)
+    for _ in range(200):
         f = c.value(X)
+        lo, hi = (lo, X) if (f > 0.0) == rising else (X, hi)
         fp = c.derivative(X)
-        if fp == 0.0:
-            break
-        step = f / fp
-        Xn = X - step
-        if not lo <= Xn <= hi:
-            break
+        Xn = X - f / fp if fp != 0.0 else math.inf
+        if abs(Xn - X) <= 4.0 * _EPS * X:
+            return Xn
+        if not lo < Xn < hi:
+            Xn = 0.5 * (lo + hi)
+            if hi - lo <= 4.0 * _EPS * Xn:
+                return Xn
         X = Xn
-        if abs(step) < 1e-16 * max(1.0, abs(X)):
-            break
-    return X
+    raise NumericalFailure(f"root finding failed in [{lo}, {hi}]")
 
 
 def find_interior_equilibria(p: ModelParams) -> list[Equilibrium]:
     """Locate all interior equilibria by bracketing the cubic's sign changes.
 
     Real roots of R in (0, 1-m) are isolated using the critical points of R',
-    solved by bisection and polished by Newton; a root sitting exactly at a
+    solved by Newton safeguarded with bisection; a root sitting exactly at a
     critical point is reported once with multiplicity 2.  Results are sorted
     by x and carry s, p and the discriminant (taxonomy is left to classify).
     """
@@ -227,13 +233,7 @@ def find_interior_equilibria(p: ModelParams) -> list[Equilibrium]:
         if fl == 0.0 and left > lo:
             continue  # already caught as a critical-point root
         if fl * fr < 0.0:
-            try:
-                X = brentq(c.value, left, right, xtol=1e-15, rtol=8.9e-16,
-                           maxiter=200)
-            except RuntimeError as exc:
-                raise NumericalFailure(f"root polishing failed in [{left}, {right}]") from exc
-            X = _polish(c, X, left, right)
-            roots.append((X, 1))
+            roots.append((_root_in_bracket(c, left, right), 1))
 
     # a critical-point root may coincide with a bracketed root; dedup
     deduped: list[tuple[float, int]] = []
@@ -384,30 +384,30 @@ def _transformed_field_partials(p: ModelParams, x0: float, y0: float,
     """Analytic partials (orders 2-3) of the field in the Hopf eigenbasis.
 
     Coordinates (u, v) with x = x0 + u - theta*v, y = y0 + u put the linear
-    part at b = b0 into rotation form.  Returns two dicts of partial
-    derivatives of the transformed components, keyed like 'uv', 'uuv'.
+    part at b = b0 into rotation form.  Returns dicts of the partials of
+    fa = v2 and fb = (v2 - v1)/theta, keyed like 'uv', 'uuv'.  With
+    z = k1 + x - m and w = k2 + x - m, v1 = x - x^2 - a*y + a*k1*y/z and
+    v2 = b0*y - b0*y^2/w have closed-form (x, y) partials; du = dx + dy and
+    dv = -theta*dx map them to the eigenbasis as
+    D_{u^i v^j} f = (-theta)^j * sum_r C(i, r) * f_{x^(r+j) y^(i-r)}.
     """
-    import sympy as sp
+    z, w, ak = p.k1 + x0 - p.m, p.k2 + x0 - p.m, p.a * p.k1
+    # (x, y) partials keyed by (order in x, order in y); absent ones vanish,
+    # and every key of d1 is also a key of d2
+    d1 = {(2, 0): -2.0 + 2.0 * ak * y0 / z ** 3, (1, 1): -ak / z ** 2,
+          (3, 0): -6.0 * ak * y0 / z ** 4, (2, 1): 2.0 * ak / z ** 3}
+    d2 = {(2, 0): -2.0 * b0 * y0 ** 2 / w ** 3, (1, 1): 2.0 * b0 * y0 / w ** 2,
+          (0, 2): -2.0 * b0 / w, (3, 0): 6.0 * b0 * y0 ** 2 / w ** 4,
+          (2, 1): -4.0 * b0 * y0 / w ** 3, (1, 2): 2.0 * b0 / w ** 2}
+    db = {k: (v - d1.get(k, 0.0)) / theta for k, v in d2.items()}
 
-    u, v = sp.symbols("u v")
-    x = x0 + u - theta * v
-    y = y0 + u
-    v1 = x * (1 - x) - p.a * y * (x - p.m) / (p.k1 + x - p.m)
-    v2 = b0 * y * (1 - y / (p.k2 + x - p.m))
-    fa = v2
-    fb = (v2 - v1) / theta
+    def transformed(d, i, j):
+        return (-theta) ** j * sum(math.comb(i, r) * d.get((r + j, i - r), 0.0)
+                                   for r in range(i + 1))
 
     keys = ["uu", "uv", "vv", "uuu", "uuv", "uvv", "vvv"]
-    out = []
-    for expr in (fa, fb):
-        d = {}
-        for key in keys:
-            deriv = expr
-            for sym in key:
-                deriv = sp.diff(deriv, u if sym == "u" else v)
-            d[key] = float(deriv.subs({u: 0, v: 0}))
-        out.append(d)
-    return out
+    return [{key: transformed(d, key.count("u"), key.count("v")) for key in keys}
+            for d in (d2, db)]
 
 
 def hopf_point(p: ModelParams, e: Equilibrium) -> HopfData:

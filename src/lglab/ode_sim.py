@@ -130,7 +130,9 @@ def integrate_batch(a, b, k1, k2, m, init, h: float, n_steps: int,
 
     All parameter arguments broadcast against init[:, 0].  Only running
     min/max over steps >= tail_start are kept (plus the final state), so
-    memory stays flat no matter how long the run is.
+    memory stays flat no matter how long the run is.  As in integrate, a
+    state below -1e-12 at any step raises StepTooLarge; the check runs on
+    a running minimum after the last step, so it reports no step index.
     """
     x = np.array(init[:, 0], dtype=float)
     y = np.array(init[:, 1], dtype=float)
@@ -139,6 +141,7 @@ def integrate_batch(a, b, k1, k2, m, init, h: float, n_steps: int,
     max_x = np.full_like(x, -np.inf)
     min_y = np.full_like(x, np.inf)
     max_y = np.full_like(x, -np.inf)
+    floor = np.full_like(x, np.inf)  # np.fmin skips NaN: a blow-up keeps the dip
     if tail_start == 0:
         np.minimum(min_x, x, out=min_x); np.maximum(max_x, x, out=max_x)
         np.minimum(min_y, y, out=min_y); np.maximum(max_y, y, out=max_y)
@@ -149,9 +152,14 @@ def integrate_batch(a, b, k1, k2, m, init, h: float, n_steps: int,
         a4, b4 = _field_batch(a, b, k1, k2, m, x + h * a3, y + h * b3)
         x = x + h6 * (a1 + 2.0 * (a2 + a3) + a4)
         y = y + h6 * (b1 + 2.0 * (b2 + b3) + b4)
+        np.fmin(floor, x, out=floor); np.fmin(floor, y, out=floor)
         if k + 1 >= tail_start:
             np.minimum(min_x, x, out=min_x); np.maximum(max_x, x, out=max_x)
             np.minimum(min_y, y, out=min_y); np.maximum(max_y, y, out=max_y)
+    bad = floor < -_UNDERSHOOT
+    if bad.any():
+        raise StepTooLarge(
+            f"state left the closed quadrant in system {int(np.argmax(bad))}")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise NonFinite("non-finite state in batch integration")
     final = np.column_stack([x, y])

@@ -112,8 +112,14 @@ def _component_rng(seed: int, component: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
+def _check_h(h: float) -> None:
+    if not h > 0:
+        raise ValueError("need h > 0")
+
+
 def make_noise(seed: int, h: float, n_steps: int) -> NoisePath:
     """Reproducible increments; the two streams never share draws."""
+    _check_h(h)
     xi1 = _component_rng(seed, 0).standard_normal(n_steps)
     xi2 = _component_rng(seed, 1).standard_normal(n_steps)
     return NoisePath(seed=seed, h=h, xi1=xi1, xi2=xi2)
@@ -130,6 +136,7 @@ def simulate_path(p: ModelParams, init, scheme: str, noise: NoisePath,
     the step index if a positive component steps to <= 0.
     """
     h = noise.h
+    _check_h(h)
     n = noise.n_steps if t_max is None else int(round(t_max / h))
     if n > noise.n_steps:
         raise ValueError("noise path shorter than requested horizon")
@@ -206,6 +213,7 @@ def comparison_bundle(p: ModelParams, init, noise: NoisePath,
     from one grid point to the next.
     """
     h = noise.h
+    _check_h(h)
     n = noise.n_steps if t_max is None else int(round(t_max / h))
     x0, y0 = float(init[0]), float(init[1])
     if x0 <= 0 or y0 <= 0:
@@ -289,8 +297,7 @@ def _lockstep(p: ModelParams, scheme: str, init, n_paths: int, seed0: int,
     x0, y0 = float(init[0]), float(init[1])
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    if not h > 0:
-        raise ValueError("need h > 0")
+    _check_h(h)
     if not t_end >= 0:
         raise ValueError("horizon must be >= 0")
     if scheme not in (MILSTEIN, LOG_EULER):
@@ -390,6 +397,7 @@ def stationary_histogram(p: ModelParams, scheme: str, seed: int,
     parameters are outside the proven stationary regime the computation
     still runs but the report carries a warning flag.
     """
+    _check_h(h)
     if burn_in >= t_max:
         raise ValueError("burn_in must be smaller than t_max")
     regime = stochastic_regime(p)

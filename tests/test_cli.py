@@ -31,6 +31,7 @@ class TestAnalyze:
         assert len(report["interior_equilibria"]) == 3
         assert report["count"]["n_predicted"] == 3
         assert report["index"]["passed"] is True
+        assert "cycle" not in report
 
     def test_out_file(self, capsys, tmp_path):
         dest = tmp_path / "report.json"
@@ -123,6 +124,24 @@ class TestSde:
         payload = json.loads(out.out)
         jsonschema.validate(payload, load_schema("stationary_v1.json"))
         assert payload["regime"] == "Stationary"
+
+    def test_stationary_burn_in_zero(self, capsys):
+        code, out = run(capsys, ["sde", "stationary", *STOCH, "--seed", "3",
+                                 "--burn-in", "0", "--t-max", "5",
+                                 "--h", "0.01", "--bins", "10"])
+        assert code == 0, out.err
+        hist = json.loads(out.out)["histogram"]
+        # every grid state from t = 0 on is binned
+        assert sum(map(sum, hist["counts"])) + hist["overflow"] == 501
+
+    @pytest.mark.parametrize("mode", [["path"], ["path", "--comparison"],
+                                      ["stationary"]])
+    @pytest.mark.parametrize("h", ["0", "-0.01"])
+    def test_bad_h_is_exit_1(self, capsys, mode, h):
+        code, out = run(capsys, ["sde", mode[0], *STOCH, *mode[1:],
+                                 "--seed", "1", "--h", h, "--t-max", "1"])
+        assert code == 1
+        assert out.err == "error: need h > 0\n"
 
     def test_hitting_validates(self, capsys):
         code, out = run(capsys, ["sde", "hitting", *STOCH, "--seed", "0",

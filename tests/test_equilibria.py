@@ -1,7 +1,14 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
+
+import lglab
 
 from lglab import (
     ModelParams,
@@ -206,3 +213,80 @@ class TestHopf:
         hd = hopf_point(HOPF_NEG, e)
         assert hd.lam < 0
         assert not hd.subcritical
+
+
+@pytest.fixture(scope="module")
+def sympy_partials():
+    """The sympy derivation of the eigenbasis partials, kept as the oracle.
+
+    Same field, coordinates and keys as the symbolic code the package ran
+    before the closed forms, but with the parameters left symbolic so the
+    expressions are differentiated once.  Returns one callable per component
+    (fa, fb), mapping (p, x0, y0, b0, theta) to the dict of partials.
+    """
+    import sympy as sp
+
+    u, v, x0, y0, b0, theta, a, k1, k2, m = sp.symbols(
+        "u v x0 y0 b0 theta a k1 k2 m")
+    x = x0 + u - theta * v
+    y = y0 + u
+    v1 = x * (1 - x) - a * y * (x - m) / (k1 + x - m)
+    v2 = b0 * y * (1 - y / (k2 + x - m))
+    keys = ["uu", "uv", "vv", "uuu", "uuv", "uvv", "vvv"]
+    out = []
+    for expr in (v2, (v2 - v1) / theta):
+        fns = {}
+        for key in keys:
+            deriv = expr
+            for sym in key:
+                deriv = sp.diff(deriv, u if sym == "u" else v)
+            fns[key] = sp.lambdify((x0, y0, b0, theta, a, k1, k2, m),
+                                   deriv.subs({u: 0, v: 0}), "math")
+        out.append(lambda p, *pt, fns=fns: {
+            k: f(*pt, p.a, p.k1, p.k2, p.m) for k, f in fns.items()})
+    return out
+
+
+def test_transformed_partials_match_sympy(rng, sympy_partials):
+    checked = 0
+    while checked < 60:
+        p = random_params(rng)
+        for e in find_interior_equilibria(p):
+            b0 = float(10 ** rng.uniform(-2.0, 0.5))
+            theta = float(10 ** rng.uniform(-1.0, 1.0))
+            got = eqmod._transformed_field_partials(p, e.x, e.y, b0, theta)
+            for ref_of, d in zip(sympy_partials, got):
+                ref = ref_of(p, e.x, e.y, b0, theta)
+                # at an equilibrium y0 = k2 + x0 - m, so the pure-u partials
+                # of fa vanish identically and both sides compute them as
+                # round-off: compare against the component's largest partial
+                scale = max(abs(r) for r in ref.values())
+                for key, r in ref.items():
+                    assert abs(d[key] - r) <= 1e-10 * max(abs(r), scale), (
+                        p.to_dict(), b0, theta, key, d[key], r)
+            checked += 1
+
+
+def test_cli_imports_neither_scipy_nor_sympy(tmp_path):
+    # a fresh interpreter, so modules imported by other tests do not count
+    hopf = ["--a", "1.1", "--b", "0.2", "--k1", "0.08", "--k2", "0.01",
+            "--m", "0.0025"]
+    report, scan = tmp_path / "report.json", tmp_path / "scan.csv"
+    script = textwrap.dedent(f"""
+        import sys
+        from lglab.cli import main
+        assert main(["analyze", *{hopf!r}, "--hopf", "--out", {str(report)!r}]) == 0
+        assert main(["scan", *{hopf!r}, "--scan", "b", "--from", "0.2",
+                     "--to", "0.5", "--steps", "4", "--out", {str(scan)!r}]) == 0
+        print(sorted(set(sys.modules) & {{"scipy", "sympy"}}))
+    """)
+    src = os.path.dirname(os.path.dirname(lglab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+    # the Hopf code path really ran
+    assert "lambda" in json.loads(report.read_text())["hopf"][0]
+    assert all(line.split(",")[-2] for line in scan.read_text().split("\n")[1:-1])

@@ -66,6 +66,20 @@ class TestIntegrate:
             integrate(p, (0.9, 1.5), EULER, h=5.0, t_max=50.0)
         assert exc.value.step_index >= 1
 
+    def test_batch_step_too_large(self):
+        # scalar RK4 leaves the quadrant at step 1; the batch run must also
+        # refuse rather than return its blown-up, negative final state
+        p = ModelParams(a=5, b=3, k1=0.05, k2=0.1)
+        with pytest.raises(StepTooLarge):
+            integrate(p, (0.5, 0.5), RK4, h=0.5, t_max=1.5)
+        init = np.array([[0.5, 0.5], [0.4, 0.5]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(StepTooLarge, match="system 0"):
+                integrate_batch(p.a, p.b, p.k1, p.k2, p.m, init, 0.5, 3)
+            # a NaN after the dip must not hide it
+            with pytest.raises(StepTooLarge):
+                integrate_batch(p.a, p.b, p.k1, p.k2, p.m, init, 0.5, 50)
+
     def test_rk4_self_convergence_order(self):
         p = ModelParams(a=0.5, b=0.1, k1=0.08, k2=0.2, m=0.0025)
         ref = integrate(p, (0.8, 0.9), RK4, h=0.0025, t_max=10.0).states[-1]

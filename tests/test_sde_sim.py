@@ -18,7 +18,7 @@ from lglab import (
     simulate_path,
     stationary_histogram,
 )
-from lglab.sde_sim import LOG_EULER, MILSTEIN, write_path_csv
+from lglab.sde_sim import LOG_EULER, MILSTEIN, NoisePath, write_path_csv
 
 STOCH = ModelParams(a=0.4, b=0.1, k1=0.08, k2=0.2, m=0.0025,
                     sigma1=0.1, sigma2=0.1)
@@ -39,6 +39,19 @@ class TestNoise:
         for xi in (n.xi1, n.xi2):
             assert abs(xi.mean()) < 0.01
             assert abs(xi.std() - 1.0) < 0.01
+
+    @pytest.mark.parametrize("h", [0.0, -0.01, math.nan])
+    def test_bad_h_rejected(self, h):
+        # the scalar entry points refuse h <= 0 as ensemble and hitting_time do
+        with pytest.raises(ValueError, match="need h > 0"):
+            make_noise(0, h, 10)
+        noise = NoisePath(seed=0, h=h, xi1=np.zeros(10), xi2=np.zeros(10))
+        with pytest.raises(ValueError, match="need h > 0"):
+            simulate_path(STOCH, (0.55, 0.6), LOG_EULER, noise)
+        with pytest.raises(ValueError, match="need h > 0"):
+            comparison_bundle(STOCH, (0.55, 0.6), noise)
+        with pytest.raises(ValueError, match="need h > 0"):
+            stationary_histogram(STOCH, LOG_EULER, 0, 0.0, 1.0, h=h)
 
 
 class TestPath:
