@@ -208,7 +208,8 @@ def cmd_sde(args) -> int:
 
     if args.mode == "path":
         n = int(round(args.t_max / args.h)) if args.h > 0 else 0
-        noise = sde_sim.make_noise(args.seed, args.h, n)  # rejects h <= 0
+        # make_noise rejects h <= 0 and a negative horizon
+        noise = sde_sim.make_noise(args.seed, args.h, n)
         if args.comparison:
             bundle = sde_sim.comparison_bundle(p, (args.x0, args.y0), noise)
             buf = io.StringIO()

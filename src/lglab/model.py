@@ -130,11 +130,23 @@ def _field_scalar(a, b, k1, k2, m, x, y):
     return v1, v2
 
 
-def _field_batch(a, b, k1, k2, m, x, y):
-    """Array evaluation of the vector field; every argument broadcasts."""
-    u = np.maximum(x - m, 0.0)
-    v1 = x * (1.0 - x) - a * y * u / (k1 + u)
-    v2 = b * y * (1.0 - y / (k2 + u))
+def _field_batch(a, b, k1, k2, m, x, y, out=(None, None), work=(None, None)):
+    """Array evaluation of the vector field; every argument broadcasts.
+
+    out = (v1, v2) and work are optional pairs of arrays of the broadcast
+    shape that receive the result and the intermediates, so a caller in a
+    loop allocates nothing; without them every operation allocates.  The
+    operation order is that of _field_scalar either way.
+    """
+    o1, o2 = out
+    w1, w2 = work
+    u = np.maximum(np.subtract(x, m, out=w1), 0.0, out=w1)
+    v1 = np.multiply(np.multiply(a, y, out=o1), u, out=o1)
+    v1 = np.divide(v1, np.add(k1, u, out=w2), out=o1)
+    v1 = np.subtract(np.multiply(x, np.subtract(1.0, x, out=w2), out=w2), v1,
+                     out=o1)
+    v2 = np.subtract(1.0, np.divide(y, np.add(k2, u, out=w2), out=w2), out=w2)
+    v2 = np.multiply(np.multiply(b, y, out=o2), v2, out=o2)
     return v1, v2
 
 

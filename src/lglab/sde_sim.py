@@ -31,7 +31,7 @@ LOG_EULER = "LogEuler"
 EXTINCTION_THRESHOLD = 1e-3
 HIST_RANGE = 1.5  # histogram domain [0, 1.5]^2 plus overflow
 
-_CHUNK = 4096  # steps of noise generated at a time in batch kernels
+_CHUNK = 512  # steps of noise drawn at a time by the lockstep kernel
 
 
 @dataclass(frozen=True)
@@ -120,6 +120,8 @@ def _check_h(h: float) -> None:
 def make_noise(seed: int, h: float, n_steps: int) -> NoisePath:
     """Reproducible increments; the two streams never share draws."""
     _check_h(h)
+    if not n_steps >= 0:
+        raise ValueError("horizon must be >= 0")
     xi1 = _component_rng(seed, 0).standard_normal(n_steps)
     xi2 = _component_rng(seed, 1).standard_normal(n_steps)
     return NoisePath(seed=seed, h=h, xi1=xi1, xi2=xi2)
@@ -254,35 +256,6 @@ def comparison_bundle(p: ModelParams, init, noise: NoisePath,
                             x_lower=xl, y_lower=yl)
 
 
-def _draw_chunk(gens, size: int) -> np.ndarray:
-    return np.stack([g.standard_normal(size) for g in gens], axis=1)
-
-
-def _step_batch(scheme, p, x, y, g1, g2, h, sqh):
-    s1, s2 = p.sigma1, p.sigma2
-    v1, v2 = _field_batch(p.a, p.b, p.k1, p.k2, p.m, x, y)
-    if scheme == MILSTEIN:
-        xn = x + (v1 * h + s1 * x * sqh * g1
-                  + 0.5 * s1 * s1 * x * (h * g1 * g1 - h))
-        yn = y + (v2 * h + s2 * y * sqh * g2
-                  + 0.5 * s2 * s2 * y * (h * g2 * g2 - h))
-        bad = ((xn <= 0.0) & (x > 0.0)) | ((yn <= 0.0) & (y > 0.0))
-        if bad.any():
-            raise PositivityViolation(
-                f"positivity lost on path {int(np.argmax(bad))}")
-        return xn, yn
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xn = np.where(x > 0.0,
-                      x * np.exp((v1 / np.where(x > 0, x, 1.0)
-                                  - 0.5 * s1 * s1) * h + s1 * sqh * g1),
-                      0.0)
-        yn = np.where(y > 0.0,
-                      y * np.exp((v2 / np.where(y > 0, y, 1.0)
-                                  - 0.5 * s2 * s2) * h + s2 * sqh * g2),
-                      0.0)
-    return xn, yn
-
-
 def _lockstep(p: ModelParams, scheme: str, init, n_paths: int, seed0: int,
               h: float, t_end: float):
     """Paths seeded seed0 .. seed0 + n_paths - 1, advanced in lockstep.
@@ -290,9 +263,14 @@ def _lockstep(p: ModelParams, scheme: str, init, n_paths: int, seed0: int,
     Validates the run up front, then returns an iterator of (step, x, y)
     for step 0 .. round(t_end / h), where x[i], y[i] is the state of path
     i.  Path i draws from the same generators as simulate_path with seed
-    seed0 + i.  Noise is drawn _CHUNK steps at a time when the consumer
-    asks for the first step of a chunk, so one that stops early draws no
-    further chunk.
+    seed0 + i.  The state is one (2, n_paths) array, row 0 prey and row 1
+    predator, so each operation of an update is one ufunc call for both
+    species; x and y are its rows, and every step writes a fresh array, so
+    a consumer may keep what it was yielded.  Noise is drawn and scaled
+    _CHUNK steps at a time into buffers allocated once, when the consumer
+    asks for the first step of a chunk: memory is bounded by the chunk,
+    not the horizon, and a consumer that stops early draws no further
+    chunk.
     """
     x0, y0 = float(init[0]), float(init[1])
     if n_paths < 1:
@@ -307,23 +285,66 @@ def _lockstep(p: ModelParams, scheme: str, init, n_paths: int, seed0: int,
     n = int(round(t_end / h))
 
     def states():
+        a, b, k1, k2, m = p.a, p.b, p.k1, p.k2, p.m
         sqh = math.sqrt(h)
-        g1 = [_component_rng(seed0 + i, 0) for i in range(n_paths)]
-        g2 = [_component_rng(seed0 + i, 1) for i in range(n_paths)]
-        x = np.full(n_paths, x0)
-        y = np.full(n_paths, y0)
-        yield 0, x, y
-        step = 0
-        while step < n:
-            span = min(_CHUNK, n - step)
-            c1 = _draw_chunk(g1, span)
-            c2 = _draw_chunk(g2, span)
+        scale = (p.sigma1 * sqh, p.sigma2 * sqh)
+        d = np.array([[0.5 * p.sigma1 * p.sigma1], [0.5 * p.sigma2 * p.sigma2]])
+        gens = [[_component_rng(seed0 + i, c) for i in range(n_paths)]
+                for c in (0, 1)]
+        chunk = min(_CHUNK, n)
+        raw = np.empty((n_paths, chunk))        # one generator per row
+        noise = np.empty((chunk, 2, n_paths))   # scaled increments by step
+        v = np.empty((2, n_paths))
+        work = np.empty((2, n_paths))
+        z = np.array([[x0], [y0]]).repeat(n_paths, axis=1)
+        yield 0, z[0], z[1]
+        for start in range(0, n, _CHUNK):
+            span = min(_CHUNK, n - start)
+            for c in (0, 1):
+                for row, g in zip(raw, gens[c]):
+                    g.standard_normal(out=row[:span])
+                e = np.multiply(raw[:, :span].T, scale[c], out=noise[:span, c])
+                if scheme == MILSTEIN:
+                    # a Milstein step is z + v*h + z*(e + (e^2/2 - d*h)):
+                    # fold the bracket into the noise once per chunk
+                    tmp = raw.reshape(-1)[:e.size].reshape(e.shape)
+                    np.multiply(e, e, out=tmp)
+                    np.multiply(tmp, 0.5, out=tmp)
+                    np.subtract(tmp, d[c, 0] * h, out=tmp)
+                    np.add(e, tmp, out=e)
             for j in range(span):
-                x, y = _step_batch(scheme, p, x, y, c1[j], c2[j], h, sqh)
-                step += 1
-                yield step, x, y
+                _field_batch(a, b, k1, k2, m, z[0], z[1], out=v, work=work)
+                if scheme == MILSTEIN:
+                    zn = np.multiply(z, noise[j])
+                    np.add(zn, np.multiply(v, h, out=v), out=zn)
+                    np.add(z, zn, out=zn)
+                    if zn.min() <= 0.0:
+                        bad = ((zn <= 0.0) & (z > 0.0)).any(axis=0)
+                        if bad.any():
+                            raise PositivityViolation(
+                                f"positivity lost on path {int(np.argmax(bad))}")
+                else:
+                    zero = None if z.all() else z == 0.0
+                    # the drift vanishes on an axis, so 0/1 stands in for 0/0
+                    np.divide(v, z if zero is None else np.where(zero, 1.0, z),
+                              out=v)
+                    np.subtract(v, d, out=v)
+                    np.multiply(v, h, out=v)
+                    np.add(v, noise[j], out=v)
+                    zn = np.multiply(np.exp(v, out=v), z)
+                    if zero is not None:
+                        zn[zero] = 0.0
+                z = zn
+                yield start + j + 1, z[0], z[1]
 
     return states()
+
+
+def _check_burn_in_and_bins(burn_in: float, bins: int) -> None:
+    if not burn_in >= 0:
+        raise ValueError("burn_in must be >= 0")
+    if not bins >= 1:
+        raise ValueError("bins must be >= 1")
 
 
 def _bin2d(x, y, bins: int) -> tuple[np.ndarray, int]:
@@ -350,6 +371,9 @@ def ensemble(p: ModelParams, init, scheme: str, n_paths: int, seed0: int,
     must lie in [0, t_max] and round to distinct grid steps.
     """
     states = _lockstep(p, scheme, init, n_paths, seed0, h, t_max)
+    _check_burn_in_and_bins(burn_in, bins)
+    if burn_in > t_max:
+        raise ValueError("burn_in must not exceed t_max")
     ck_times = np.asarray(checkpoints, dtype=float)
     if not ((ck_times >= 0.0) & (ck_times <= t_max)).all():
         raise ValueError("checkpoints must lie in [0, t_max]")
@@ -398,6 +422,7 @@ def stationary_histogram(p: ModelParams, scheme: str, seed: int,
     still runs but the report carries a warning flag.
     """
     _check_h(h)
+    _check_burn_in_and_bins(burn_in, bins)
     if burn_in >= t_max:
         raise ValueError("burn_in must be smaller than t_max")
     regime = stochastic_regime(p)

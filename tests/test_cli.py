@@ -143,6 +143,24 @@ class TestSde:
         assert code == 1
         assert out.err == "error: need h > 0\n"
 
+    @pytest.mark.parametrize("mode", ["ensemble", "stationary"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--burn-in", "-5"], "burn_in must be >= 0"),
+        (["--bins", "0"], "bins must be >= 1"),
+    ])
+    def test_bad_burn_in_or_bins_is_exit_1(self, capsys, mode, flags, message):
+        code, out = run(capsys, ["sde", mode, *STOCH, "--seed", "1",
+                                 "--paths", "4", "--h", "0.01",
+                                 "--t-max", "10", *flags])
+        assert code == 1
+        assert out.err == f"error: {message}\n"
+
+    def test_negative_horizon_is_exit_1(self, capsys):
+        code, out = run(capsys, ["sde", "path", *STOCH, "--seed", "1",
+                                 "--h", "0.01", "--t-max", "-1"])
+        assert code == 1
+        assert out.err == "error: horizon must be >= 0\n"
+
     def test_hitting_validates(self, capsys):
         code, out = run(capsys, ["sde", "hitting", *STOCH, "--seed", "0",
                                  "--paths", "4", "--h", "0.01",

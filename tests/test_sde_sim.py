@@ -18,6 +18,7 @@ from lglab import (
     simulate_path,
     stationary_histogram,
 )
+from lglab import sde_sim
 from lglab.sde_sim import LOG_EULER, MILSTEIN, NoisePath, write_path_csv
 
 STOCH = ModelParams(a=0.4, b=0.1, k1=0.08, k2=0.2, m=0.0025,
@@ -52,6 +53,10 @@ class TestNoise:
             comparison_bundle(STOCH, (0.55, 0.6), noise)
         with pytest.raises(ValueError, match="need h > 0"):
             stationary_histogram(STOCH, LOG_EULER, 0, 0.0, 1.0, h=h)
+
+    def test_negative_horizon_rejected(self):
+        with pytest.raises(ValueError, match="horizon must be >= 0"):
+            make_noise(0, 0.01, -100)
 
 
 class TestPath:
@@ -177,6 +182,18 @@ class TestEnsemble:
             ensemble(STOCH, (0.55, 0.6), LOG_EULER, n_paths=2, seed0=0,
                      t_max=2.0, checkpoints=checkpoints, h=0.01)
 
+    @pytest.mark.parametrize("kw, match", [
+        (dict(burn_in=-1.0), "burn_in must be >= 0"),
+        (dict(burn_in=float("nan")), "burn_in must be >= 0"),
+        (dict(burn_in=2.5), "burn_in must not exceed t_max"),
+        (dict(bins=0), "bins must be >= 1"),
+        (dict(bins=-3), "bins must be >= 1"),
+    ])
+    def test_bad_burn_in_or_bins_rejected(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            ensemble(STOCH, (0.55, 0.6), LOG_EULER, n_paths=2, seed0=0,
+                     t_max=2.0, checkpoints=[2.0], h=0.01, **kw)
+
     def test_endpoint_checkpoints_allowed(self):
         stats = ensemble(STOCH, (0.55, 0.6), LOG_EULER, n_paths=2, seed0=0,
                          t_max=2.0, checkpoints=[0.0, 2.0], h=0.01)
@@ -229,6 +246,16 @@ class TestStationary:
         assert not rep.regime_warning
 
 
+    @pytest.mark.parametrize("kw, match", [
+        (dict(burn_in=-5.0), "burn_in must be >= 0"),
+        (dict(bins=0), "bins must be >= 1"),
+    ])
+    def test_bad_burn_in_or_bins_rejected(self, kw, match):
+        args = dict(burn_in=2.0, t_max=10.0, bins=10, h=0.01) | kw
+        with pytest.raises(ValueError, match=match):
+            stationary_histogram(STOCH, LOG_EULER, seed=1, **args)
+
+
 class TestHitting:
     def test_start_inside_target(self):
         target = Region(0.0, 2.0, 0.0, 2.0)
@@ -256,6 +283,72 @@ class TestHitting:
                       & (target.y_lo <= sp.y) & (sp.y < target.y_hi))
             expected = sp.times[np.argmax(inside)] if inside.any() else t_cap
             assert rep.times[i] == expected
+
+
+class TestLockstepKernel:
+    """Contracts of the fused lockstep kernel behind ensemble and hitting."""
+
+    @pytest.mark.parametrize("chunk", [7, 1])
+    def test_chunk_size_invariance(self, monkeypatch, chunk):
+        # 600 steps: two chunks at the default size, partial last chunks
+        # at 7; every path must see the same draws whatever the chunk
+        def run():
+            ens = [ensemble(STOCH, (0.55, 0.6), scheme, n_paths=5, seed0=3,
+                            t_max=6.0, checkpoints=[1.0, 6.0], h=0.01,
+                            burn_in=1.0, bins=10, hist_thin=7)
+                   for scheme in (LOG_EULER, MILSTEIN)]
+            hits = [hitting_time(STOCH, scheme, (0.7, 0.6),
+                                 Region(0.0, 0.5, 0.0, 2.0), n_paths=5,
+                                 seed0=3, t_cap=6.0, h=0.01).times
+                    for scheme in (LOG_EULER, MILSTEIN)]
+            return ens, hits
+
+        ens_a, hits_a = run()
+        monkeypatch.setattr(sde_sim, "_CHUNK", chunk)
+        ens_b, hits_b = run()
+        for a, b in zip(ens_a, ens_b):
+            assert np.array_equal(a.mean, b.mean)
+            assert np.array_equal(a.variance, b.variance)
+            assert np.array_equal(a.hist_counts, b.hist_counts)
+            assert a.hist_overflow == b.hist_overflow
+            assert a.extinction_fraction_x == b.extinction_fraction_x
+            assert a.extinction_fraction_y == b.extinction_fraction_y
+        for a, b in zip(hits_a, hits_b):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("scheme", [LOG_EULER, MILSTEIN])
+    @pytest.mark.parametrize("axis, init", [(0, (0.0, 0.6)), (1, (0.55, 0.0))])
+    def test_zero_axis_stays_zero(self, scheme, axis, init):
+        p = replace(STOCH, sigma1=0.3, sigma2=0.3)
+        states = sde_sim._lockstep(p, scheme, init, 16, 0, 0.01, 10.0)
+        for step, x, y in states:
+            zero, other = (x, y) if axis == 0 else (y, x)
+            assert (zero == 0.0).all() and not np.signbit(zero).any()
+            assert (other > 0.0).all()
+        assert step == 1000
+
+    def test_milstein_positivity_names_first_bad_path(self):
+        # s2 * sqrt(h) > 1: a Milstein step can cross zero for some draws,
+        # so paths fail at different steps; the batch reports the path
+        # that fails first, which is path 4 for these seeds
+        p = replace(STOCH, sigma2=2.3)
+        seed0, n_paths, h = 2, 6, 0.2
+        first = []
+        for i in range(n_paths):
+            with pytest.raises(PositivityViolation) as exc:
+                simulate_path(p, (0.55, 0.6), MILSTEIN,
+                              make_noise(seed0 + i, h, 100))
+            first.append(exc.value.step_index)
+        worst = int(np.argmin(first))
+        assert worst == 4 and first.count(min(first)) == 1
+        with pytest.raises(PositivityViolation,
+                           match=f"positivity lost on path {worst}$"):
+            ensemble(p, (0.55, 0.6), MILSTEIN, n_paths=n_paths, seed0=seed0,
+                     t_max=20.0, checkpoints=[], h=h)
+        with pytest.raises(PositivityViolation,
+                           match=f"positivity lost on path {worst}$"):
+            hitting_time(p, MILSTEIN, (0.55, 0.6), Region(5.0, 6.0, 5.0, 6.0),
+                         n_paths=n_paths, seed0=seed0, t_cap=20.0, h=h)
 
 
 class TestLockstepValidation:
