@@ -24,7 +24,6 @@ from .model import (
     jacobian,
     load_params,
     nondimensionalize,
-    sde_coefficients,
     vector_field,
 )
 from .equilibria import (

@@ -185,9 +185,12 @@ def cmd_ode(args) -> int:
     _atomic_write(args.out, buf.getvalue())
     if args.detect_cycle:
         burn = args.burn_in if args.burn_in is not None else 0.5 * args.t_max
+        if scheme != ode_sim.RK4:
+            # detection always runs on the RK4 trajectory
+            traj = ode_sim.integrate(p, (args.x0, args.y0), scheme=ode_sim.RK4,
+                                     h=args.h, t_max=args.t_max)
         try:
-            report = ode_sim.detect_limit_cycle(p, (args.x0, args.y0), h=args.h,
-                                                t_burn=burn, t_max=args.t_max)
+            report = ode_sim.detect_limit_cycle(p, traj, t_burn=burn)
             payload = report.to_dict()
         except Inconclusive as exc:
             payload = {"found": False, "inconclusive": str(exc)}
@@ -211,14 +214,12 @@ def cmd_sde(args) -> int:
         # make_noise rejects h <= 0 and a negative horizon
         noise = sde_sim.make_noise(args.seed, args.h, n)
         if args.comparison:
-            bundle = sde_sim.comparison_bundle(p, (args.x0, args.y0), noise)
-            buf = io.StringIO()
-            sde_sim.write_path_csv(bundle, buf)
+            path = sde_sim.comparison_bundle(p, (args.x0, args.y0), noise)
         else:
             path = sde_sim.simulate_path(p, (args.x0, args.y0), scheme, noise,
                                          shared_noise=args.shared_noise)
-            buf = io.StringIO()
-            sde_sim.write_path_csv(path, buf)
+        buf = io.StringIO()
+        sde_sim.write_path_csv(path, buf)
         _atomic_write(args.out, buf.getvalue())
         return 0
 
@@ -260,8 +261,10 @@ def cmd_sde(args) -> int:
         return 0
 
     # hitting
-    lo_x, hi_x, lo_y, hi_y = (float(v) for v in args.target.split(","))
-    target = qualitative.Region(lo_x, hi_x, lo_y, hi_y)
+    try:
+        target = qualitative.Region(*map(float, args.target.split(",")))
+    except (TypeError, ValueError):
+        raise InvalidParams("--target needs x_lo,x_hi,y_lo,y_hi") from None
     rep = sde_sim.hitting_time(p, scheme, (args.x0, args.y0), target,
                                args.paths, args.seed, args.t_cap, h=args.h)
     payload = {
@@ -367,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="path mode: include bracketing-process columns")
     ps.add_argument("--shared-noise", action="store_true",
                     help="drive the prey diffusion with the predator increments")
-    ps.add_argument("--target", default=None,
+    ps.add_argument("--target", default="",
                     help="hitting mode: rectangle x_lo,x_hi,y_lo,y_hi")
     ps.add_argument("--t-cap", type=float, default=500.0)
     ps.add_argument("--out", default="-")
@@ -388,8 +391,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "sde" and args.mode == "hitting" and not args.target:
-            raise InvalidParams("hitting mode requires --target")
         return args.func(args)
     except StepTooLarge as exc:
         print(f"error: {exc}; reduce --h", file=sys.stderr)
@@ -398,10 +399,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}; try --scheme log-euler or a smaller --h",
               file=sys.stderr)
         return 1
-    except (InvalidParams, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except LglabError as exc:
+    except (LglabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

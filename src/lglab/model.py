@@ -1,4 +1,4 @@
-"""Parameters, vector field, Jacobian and SDE coefficients of the refuge model.
+"""Parameters, vector field and Jacobian of the refuge model.
 
 The deterministic system on the closed quadrant {x >= 0, y >= 0} is
 
@@ -175,14 +175,3 @@ def jacobian(p: ModelParams, state) -> np.ndarray:
     j21 = p.b * y ** 2 / (p.k2 + u) ** 2 * active
     j22 = p.b - 2.0 * p.b * y / (p.k2 + u)
     return np.array([[j11, j12], [j21, j22]])
-
-
-def sde_coefficients(p: ModelParams, state):
-    """Drift and diffusion of the stochastic system at a state.
-
-    The drift is the deterministic field; the diffusion is the diagonal
-    multiplicative pair (sigma1*x, sigma2*y).
-    """
-    x, y = state
-    drift = vector_field(p, state)
-    return drift, (p.sigma1 * x, p.sigma2 * y)

@@ -133,9 +133,19 @@ def integrate_batch(a, b, k1, k2, m, init, h: float, n_steps: int,
     memory stays flat no matter how long the run is.  As in integrate, a
     state below -1e-12 at any step raises StepTooLarge; the check runs on
     a running minimum after the last step, so it reports no step index.
+    Inputs are checked before the first step, with the errors integrate
+    and ModelParams raise.
     """
+    if not h > 0:
+        raise ValueError("need h > 0")
+    if not 0 <= tail_start <= n_steps:
+        raise ValueError("need 0 <= tail_start <= n_steps")
+    for extreme in (np.min, np.max):  # every system passes if these do
+        ModelParams(*(float(extreme(v)) for v in (a, b, k1, k2, m)))
     x = np.array(init[:, 0], dtype=float)
     y = np.array(init[:, 1], dtype=float)
+    if (x < 0).any() or (y < 0).any():
+        raise ValueError("initial state must lie in the closed quadrant")
     h2, h6 = 0.5 * h, h / 6.0
     min_x = np.full_like(x, np.inf)
     max_x = np.full_like(x, -np.inf)
@@ -166,19 +176,18 @@ def integrate_batch(a, b, k1, k2, m, init, h: float, n_steps: int,
     return final, (min_x, max_x, min_y, max_y)
 
 
-def detect_limit_cycle(p: ModelParams, init, h: float = 1e-3,
-                       t_burn: float = 200.0,
-                       t_max: float = 1000.0) -> CycleReport:
+def detect_limit_cycle(p: ModelParams, traj: Trajectory,
+                       t_burn: float = 200.0) -> CycleReport:
     """Look for a periodic orbit via returns to the section y = k2 + x - m.
 
-    The section is the predator isocline, crossed in the direction of
-    increasing x; any closed orbit in the attracting region must cut it.
-    A cycle is reported when at least 5 consecutive returns agree on the
+    traj is integrated with p, usually by RK4.  The section is the
+    predator isocline, crossed in the direction of increasing x; any
+    closed orbit in the attracting region must cut it.  A cycle is
+    reported when at least 5 consecutive returns after t_burn agree on the
     period within 1% and the x peak-to-peak extent exceeds 1e-4; stability
     comes from the trend of log-gaps between successive return points.
     """
-    traj = integrate(p, init, scheme=RK4, h=h, t_max=t_max)
-    x, y, t = traj.x, traj.y, traj.times
+    x, y, t, h = traj.x, traj.y, traj.times, traj.h
     g = y - (p.k2 + x - p.m)
     # sign change of g with x increasing: section crossing between k and k+1
     dx = np.diff(x)

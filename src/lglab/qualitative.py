@@ -35,9 +35,10 @@ class Region:
     y_lo: float
     y_hi: float
 
-    def contains(self, x: float, y: float, slack: float = 0.0) -> bool:
-        return (self.x_lo - slack <= x <= self.x_hi + slack
-                and self.y_lo - slack <= y < self.y_hi + slack)
+    def contains(self, x, y):
+        """Whether (x, y) lies in the rectangle; elementwise for arrays."""
+        return ((self.x_lo <= x) & (x <= self.x_hi)
+                & (self.y_lo <= y) & (y < self.y_hi))
 
     def to_dict(self) -> dict:
         return {"x_lo": self.x_lo, "x_hi": self.x_hi,

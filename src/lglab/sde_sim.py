@@ -6,11 +6,11 @@ Euler recursion bit-for-bit when the noise is off, but can step through
 zero.  LogEuler discretizes the exact-diffusion log coordinates and is
 strictly positivity-preserving, so it is the default for long horizons.
 
-The comparison bundle simulates the four bracketing processes (stochastic
-logistic upper/lower bounds for each species) with the same Gaussian
-increments and the same one-step map as the system itself; with a common
-scheme the bracketing inequalities hold exactly at every grid point, not
-merely up to discretization error.
+The comparison bundle steps the four bracketing processes (stochastic
+logistic upper/lower bounds for each species) along the LogEuler
+simulate_path with the same increments and one-step map, their drifts in
+_field_scalar's operation order so that a tie rounds alike; the bracketing
+inequalities then hold exactly at every grid point.
 """
 
 from __future__ import annotations
@@ -117,6 +117,20 @@ def _check_h(h: float) -> None:
         raise ValueError("need h > 0")
 
 
+def _horizon(h: float, t_end: float | None, available=None) -> int:
+    """Steps of size h from 0 to t_end, at most the steps available on a
+    noise path; t_end = None takes all of them."""
+    _check_h(h)
+    if t_end is None:
+        return available
+    if not t_end >= 0:
+        raise ValueError("horizon must be >= 0")
+    n = int(round(t_end / h))
+    if available is not None and n > available:
+        raise ValueError("noise path shorter than requested horizon")
+    return n
+
+
 def make_noise(seed: int, h: float, n_steps: int) -> NoisePath:
     """Reproducible increments; the two streams never share draws."""
     _check_h(h)
@@ -138,10 +152,7 @@ def simulate_path(p: ModelParams, init, scheme: str, noise: NoisePath,
     the step index if a positive component steps to <= 0.
     """
     h = noise.h
-    _check_h(h)
-    n = noise.n_steps if t_max is None else int(round(t_max / h))
-    if n > noise.n_steps:
-        raise ValueError("noise path shorter than requested horizon")
+    n = _horizon(h, t_max, noise.n_steps)
     x, y = float(init[0]), float(init[1])
     if x < 0 or y < 0:
         raise ValueError("initial state must lie in the closed quadrant")
@@ -196,7 +207,7 @@ def explicit_upper_prey(sigma1: float, x0: float, noise: NoisePath,
     if x0 <= 0:
         raise ValueError("x0 must be positive")
     h = noise.h
-    n = noise.n_steps if t_max is None else int(round(t_max / h))
+    n = _horizon(h, t_max, noise.n_steps)
     t = np.arange(n + 1) * h
     w = np.concatenate([[0.0], math.sqrt(h) * np.cumsum(noise.xi1[:n])])
     phi = np.exp((1.0 - 0.5 * sigma1 ** 2) * t + sigma1 * w)
@@ -208,52 +219,50 @@ def comparison_bundle(p: ModelParams, init, noise: NoisePath,
                       t_max: float | None = None) -> ComparisonBundle:
     """System path plus its four stochastic logistic brackets, one noise.
 
-    All six processes use the LogEuler one-step map: the map is increasing
-    in the previous state and in the carrying capacity, and the bracket
-    drifts dominate the system drifts termwise, so the orderings
-    x_lower <= x <= x_upper and y_lower <= y <= y_upper propagate exactly
-    from one grid point to the next.
+    x and y are simulate_path with LOG_EULER, and the brackets take the
+    same one-step map: the map is increasing in the previous state and in
+    the carrying capacity, and the bracket drifts dominate the system
+    drifts termwise, so the orderings x_lower <= x <= x_upper and
+    y_lower <= y <= y_upper propagate exactly from one grid point to the
+    next.  Where x <= m the system's drifts equal x_upper's and y_lower's
+    in exact arithmetic, so the brackets are written in _field_scalar's
+    operation order to round such a tie alike.
     """
-    h = noise.h
-    _check_h(h)
-    n = noise.n_steps if t_max is None else int(round(t_max / h))
     x0, y0 = float(init[0]), float(init[1])
     if x0 <= 0 or y0 <= 0:
         raise ValueError("initial state must be strictly positive")
-    a, b, k1, k2, m = p.a, p.b, p.k1, p.k2, p.m
+    path = simulate_path(p, (x0, y0), LOG_EULER, noise, t_max)
+    n = len(path.times) - 1
+    a, b, k1, k2 = p.a, p.b, p.k1, p.k2
     s1, s2 = p.sigma1, p.sigma2
+    h = noise.h
     sqh = math.sqrt(h)
     d1 = 0.5 * s1 * s1
     d2 = 0.5 * s2 * s2
+    # simulate_path's increments, as Python floats for a fast scalar loop
+    incs = zip((s1 * sqh * noise.xi1[:n]).tolist(),
+               (s2 * sqh * noise.xi2[:n]).tolist())
 
-    x = np.empty(n + 1); y = np.empty(n + 1)
-    xu = np.empty(n + 1); yu = np.empty(n + 1)
-    xl = np.empty(n + 1); yl = np.empty(n + 1)
-    x[0] = xu[0] = xl[0] = x0
-    y[0] = yu[0] = yl[0] = y0
+    brackets = np.empty((n + 1, 4))  # x_upper, y_upper, x_lower, y_lower
+    xu = xl = x0
+    yu = yl = y0
+    brackets[0] = (xu, yu, xl, yl)
+    for k, (e1, e2) in enumerate(incs, 1):
+        # x_lower reads the old y_upper, and y_upper the old x_upper
+        if xl > 0.0:
+            xl = xl * math.exp((1.0 - xl - a * yu / k1 - d1) * h + e1)
+        if yu > 0.0:
+            yu = yu * math.exp(
+                (b * yu * (1.0 - yu / (k2 + xu)) / yu - d2) * h + e2)
+        if xu > 0.0:
+            xu = xu * math.exp((xu * (1.0 - xu) / xu - d1) * h + e1)
+        if yl > 0.0:
+            yl = yl * math.exp((b * yl * (1.0 - yl / k2) / yl - d2) * h + e2)
+        brackets[k] = (xu, yu, xl, yl)
 
-    cx = cxu = cxl = x0
-    cy = cyu = cyl = y0
-    for k in range(n):
-        e1 = s1 * sqh * noise.xi1[k]
-        e2 = s2 * sqh * noise.xi2[k]
-        u = cx - m
-        if u < 0.0:
-            u = 0.0
-        nx = cx * math.exp((1.0 - cx - a * cy * u / ((k1 + u) * cx) - d1) * h + e1)
-        nxu = cxu * math.exp((1.0 - cxu - d1) * h + e1)
-        nxl = cxl * math.exp((1.0 - cxl - a * cyu / k1 - d1) * h + e1)
-        ny = cy * math.exp((b * (1.0 - cy / (k2 + u)) - d2) * h + e2)
-        nyu = cyu * math.exp((b * (1.0 - cyu / (k2 + cxu)) - d2) * h + e2)
-        nyl = cyl * math.exp((b * (1.0 - cyl / k2) - d2) * h + e2)
-        cx, cy, cxu, cyu, cxl, cyl = nx, ny, nxu, nyu, nxl, nyl
-        x[k + 1] = cx; y[k + 1] = cy
-        xu[k + 1] = cxu; yu[k + 1] = cyu
-        xl[k + 1] = cxl; yl[k + 1] = cyl
-
-    times = np.arange(n + 1) * h
-    return ComparisonBundle(times=times, x=x, y=y, x_upper=xu, y_upper=yu,
-                            x_lower=xl, y_lower=yl)
+    return ComparisonBundle(times=path.times, x=path.x, y=path.y,
+                            x_upper=brackets[:, 0], y_upper=brackets[:, 1],
+                            x_lower=brackets[:, 2], y_lower=brackets[:, 3])
 
 
 def _lockstep(p: ModelParams, scheme: str, init, n_paths: int, seed0: int,
@@ -275,14 +284,11 @@ def _lockstep(p: ModelParams, scheme: str, init, n_paths: int, seed0: int,
     x0, y0 = float(init[0]), float(init[1])
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    _check_h(h)
-    if not t_end >= 0:
-        raise ValueError("horizon must be >= 0")
+    n = _horizon(h, t_end)
     if scheme not in (MILSTEIN, LOG_EULER):
         raise ValueError(f"unknown scheme {scheme!r}")
     if x0 < 0 or y0 < 0:
         raise ValueError("initial state must lie in the closed quadrant")
-    n = int(round(t_end / h))
 
     def states():
         a, b, k1, k2, m = p.a, p.b, p.k1, p.k2, p.m
@@ -421,7 +427,7 @@ def stationary_histogram(p: ModelParams, scheme: str, seed: int,
     parameters are outside the proven stationary regime the computation
     still runs but the report carries a warning flag.
     """
-    _check_h(h)
+    n = _horizon(h, t_max)
     _check_burn_in_and_bins(burn_in, bins)
     if burn_in >= t_max:
         raise ValueError("burn_in must be smaller than t_max")
@@ -429,7 +435,6 @@ def stationary_histogram(p: ModelParams, scheme: str, seed: int,
     warning = regime.clause != STATIONARY
 
     def tail_states(s):
-        n = int(round(t_max / h))
         noise = make_noise(s, h, n)
         path = simulate_path(p, init, scheme, noise)
         return path.states[int(round(burn_in / h)):]
@@ -459,9 +464,7 @@ def hitting_time(p: ModelParams, scheme: str, init, target: Region,
     states = _lockstep(p, scheme, init, n_paths, seed0, h, t_cap)
     hit = np.full(n_paths, np.nan)
     for step, x, y in states:
-        inside = ((target.x_lo <= x) & (x <= target.x_hi)
-                  & (target.y_lo <= y) & (y < target.y_hi))
-        hit[inside & np.isnan(hit)] = step * h
+        hit[target.contains(x, y) & np.isnan(hit)] = step * h
         if not np.isnan(hit).any():
             break
 

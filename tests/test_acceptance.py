@@ -66,11 +66,13 @@ def test_criterion_02_count_vs_grid_oracle():
 
 def test_criterion_03_limit_cycles_both_regimes():
     p1 = ModelParams(a=1, b=0.05, k1=0.1, k2=0.1, m=0.01)
-    rep1 = detect_limit_cycle(p1, (0.5, 0.3), h=0.01, t_burn=1000, t_max=2000)
+    rep1 = detect_limit_cycle(
+        p1, integrate(p1, (0.5, 0.3), RK4, h=0.01, t_max=2000), t_burn=1000)
     assert rep1.found and rep1.stable
 
-    rep2 = detect_limit_cycle(THREE_EQ, (0.8, 0.9), h=0.01,
-                              t_burn=1000, t_max=2000)
+    rep2 = detect_limit_cycle(
+        THREE_EQ, integrate(THREE_EQ, (0.8, 0.9), RK4, h=0.01, t_max=2000),
+        t_burn=1000)
     assert rep2.found and rep2.stable
     # the cycle's x-extent must straddle all three interior equilibria
     traj = integrate(THREE_EQ, (0.8, 0.9), RK4, h=0.01, t_max=2000.0)
@@ -86,8 +88,9 @@ def test_criterion_04a_hopf_negative_lyapunov():
     # just below the critical growth rate a small stable cycle appears
     p = HOPF_A.with_b(hd.b0 - 0.01)
     (e2,) = find_interior_equilibria(p)
-    rep = detect_limit_cycle(p, (e2.x + 0.01, e2.y + 0.01), h=0.005,
-                             t_burn=600, t_max=1200)
+    rep = detect_limit_cycle(
+        p, integrate(p, (e2.x + 0.01, e2.y + 0.01), RK4, h=0.005, t_max=1200),
+        t_burn=600)
     assert rep.found and rep.stable
     assert rep.amplitude_x < 0.5
 

@@ -4,6 +4,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from lglab import ode_sim
 from lglab.cli import main
 
 THREE = ["--a", "0.5", "--b", "0.1", "--k1", "0.08", "--k2", "0.2",
@@ -82,6 +83,33 @@ class TestOde:
         assert rep["found"] is True and rep["stable"] is True
         assert rep["period"] == pytest.approx(62.7, abs=0.5)
 
+    def test_detect_cycle_integrates_rk4_once(self, capsys, tmp_path,
+                                              monkeypatch):
+        # rk4 detects on the trajectory it writes; euler adds one RK4 run,
+        # so both report the same cycle
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["scheme"])
+            return integrate(*args, **kwargs)
+
+        integrate = ode_sim.integrate
+        monkeypatch.setattr(ode_sim, "integrate", counted)
+        argv = ["ode", "--a", "1", "--b", "0.05", "--k1", "0.1", "--k2", "0.1",
+                "--m", "0.01", "--x0", "0.5", "--y0", "0.3", "--h", "0.01",
+                "--t-max", "1000", "--detect-cycle",
+                "--out", str(tmp_path / "t.csv")]
+        reports = {}
+        for scheme in ("rk4", "euler"):
+            calls.clear()
+            code, out = run(capsys, [*argv, "--scheme", scheme])
+            assert code == 0
+            reports[scheme] = out.out
+            assert calls == ([ode_sim.RK4] if scheme == "rk4"
+                             else [ode_sim.EULER, ode_sim.RK4])
+        assert json.loads(reports["rk4"])["found"] is True
+        assert reports["euler"] == reports["rk4"]
+
 
 class TestSde:
     def test_seed_required(self, capsys):
@@ -105,6 +133,22 @@ class TestSde:
         assert code == 0
         header = out.out.split("\n", 1)[0]
         assert header == "t,x,y,x_upper,y_upper,x_lower,y_lower"
+
+    def test_comparison_prey_underflow(self, capsys):
+        # the prey underflows to exactly 0; the system stays there as in
+        # `sde path`, and every bracket keeps its side
+        code, out = run(capsys, [
+            "sde", "path", "--comparison", "--a", "1.7", "--b", "1.5",
+            "--k1", "0.06", "--k2", "1.9", "--sigma1", "0.07",
+            "--sigma2", "0.37", "--seed", "0", "--h", "0.01",
+            "--t-max", "20", "--x0", "0.55", "--y0", "0.6"])
+        assert code == 0, out.err
+        rows = [list(map(float, line.split(",")))
+                for line in out.out.strip().split("\n")[1:]]
+        _, x, y, xu, yu, xl, yl = zip(*rows)
+        assert x[-1] == 0.0
+        assert all(a <= b <= c for a, b, c in zip(xl, x, xu))
+        assert all(a <= b <= c for a, b, c in zip(yl, y, yu))
 
     def test_ensemble_validates(self, capsys):
         code, out = run(capsys, ["sde", "ensemble", *STOCH, "--seed", "0",
@@ -182,6 +226,15 @@ class TestSde:
         code, out = run(capsys, ["sde", "hitting", *STOCH, "--seed", "0"])
         assert code == 1
         assert "--target" in out.err
+
+    @pytest.mark.parametrize("target", ["0.4,0.6,0.6", "0.4,0.6,0.6,0.8,1",
+                                        "0.4,0.6,a,0.8"])
+    def test_hitting_malformed_target(self, capsys, target):
+        code, out = run(capsys, ["sde", "hitting", *STOCH, "--seed", "0",
+                                 "--paths", "2", "--t-cap", "1",
+                                 "--target", target])
+        assert code == 1
+        assert out.err == "error: --target needs x_lo,x_hi,y_lo,y_hi\n"
 
 
 class TestScan:

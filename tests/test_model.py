@@ -13,7 +13,6 @@ from lglab import (
     jacobian,
     load_params,
     nondimensionalize,
-    sde_coefficients,
     vector_field,
 )
 
@@ -124,9 +123,3 @@ class TestJacobian:
         # m = 0 has no kink: the positive-part switch is inactive at 0
         p0 = ModelParams(a=1, b=1, k1=1, k2=1, m=0.0)
         jacobian(p0, (0.0, 0.5))
-
-    def test_sde_coefficients(self):
-        p = ModelParams(a=1, b=1, k1=1, k2=1, sigma1=0.3, sigma2=0.4)
-        drift, diff = sde_coefficients(p, (0.5, 0.25))
-        assert drift == vector_field(p, (0.5, 0.25))
-        assert diff == (0.3 * 0.5, 0.4 * 0.25)

@@ -5,6 +5,7 @@ import pytest
 
 from lglab import (
     Inconclusive,
+    InvalidParams,
     ModelParams,
     StepTooLarge,
     TooShort,
@@ -96,18 +97,55 @@ class TestIntegrate:
             assert np.allclose(final[i], traj.states[-1], rtol=0, atol=1e-13)
 
 
+class TestBatchValidation:
+    # each input is refused once, before any step, with the error and the
+    # message of the scalar entry points
+    P = ModelParams(a=0.5, b=0.1, k1=0.08, k2=0.2, m=0.0025)
+    INIT = np.array([[0.4, 0.5], [0.9, 0.3]])
+
+    def run(self, init=INIT, h=1e-2, n_steps=10, tail_start=0, **params):
+        kw = dict(self.P.to_dict(), **params)
+        return integrate_batch(kw["a"], kw["b"], kw["k1"], kw["k2"], kw["m"],
+                               init, h, n_steps, tail_start=tail_start)
+
+    def test_tail_start_beyond_run(self):
+        with pytest.raises(ValueError, match="tail_start"):
+            self.run(n_steps=10, tail_start=11)
+
+    @pytest.mark.parametrize("h", [0.0, -0.01])
+    def test_h_not_positive(self, h):
+        with pytest.raises(ValueError, match="need h > 0"):
+            self.run(h=h)
+
+    def test_negative_initial_state(self):
+        with pytest.raises(ValueError, match="closed quadrant"):
+            self.run(init=np.array([[0.4, 0.5], [-0.1, 0.3]]))
+
+    @pytest.mark.parametrize("params, message", [
+        (dict(a=np.array([0.5, -1.0])), "a must be strictly positive"),
+        (dict(k2=0.0), "k2 must be strictly positive"),
+        (dict(m=1.5), "m must satisfy 0 <= m < 1"),
+        (dict(m=np.array([0.0, -0.1])), "m must satisfy 0 <= m < 1"),
+    ])
+    def test_params_checked_as_model_params(self, params, message):
+        with pytest.raises(InvalidParams, match=message):
+            self.run(**params)
+
+
 class TestCycle:
     def test_stable_cycle_single_equilibrium(self):
         p = ModelParams(a=1, b=0.05, k1=0.1, k2=0.1, m=0.01)
-        rep = detect_limit_cycle(p, (0.5, 0.3), h=0.01, t_burn=1000, t_max=2000)
+        rep = detect_limit_cycle(
+            p, integrate(p, (0.5, 0.3), RK4, h=0.01, t_max=2000), t_burn=1000)
         assert rep.found and rep.stable
         assert rep.period > 0 and rep.amplitude_x > 0.1
 
     def test_no_cycle_when_converging(self):
         p = ModelParams(a=1, b=0.5, k1=1.6, k2=0.6, m=0.5)
         try:
-            rep = detect_limit_cycle(p, (0.7, 0.8), h=0.01, t_burn=100,
-                                     t_max=400)
+            rep = detect_limit_cycle(
+                p, integrate(p, (0.7, 0.8), RK4, h=0.01, t_max=400),
+                t_burn=100)
             assert not rep.found
         except Inconclusive:
             pass  # no returns at all: equally a no-cycle verdict
@@ -116,8 +154,10 @@ class TestCycle:
         # stable focus: many section returns but vanishing amplitude
         (e,) = find_interior_equilibria(STOCH_FIG)
         try:
-            rep = detect_limit_cycle(STOCH_FIG, (e.x + 1e-4, e.y + 1e-4),
-                                     h=0.01, t_burn=100, t_max=2000)
+            rep = detect_limit_cycle(
+                STOCH_FIG, integrate(STOCH_FIG, (e.x + 1e-4, e.y + 1e-4), RK4,
+                                     h=0.01, t_max=2000),
+                t_burn=100)
             assert not rep.found
         except Inconclusive:
             pass  # spiralled in before five section returns

@@ -1,7 +1,11 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lglab import (
     ModelParams,
+    Region,
     count_interior_equilibria,
     global_stability_condition,
     invariant_region,
@@ -11,6 +15,8 @@ from lglab import (
 )
 
 from conftest import random_params
+
+COORD = st.floats(-0.5, 2.5, allow_nan=False)
 
 
 class TestRegion:
@@ -27,6 +33,21 @@ class TestRegion:
         r = invariant_region(ModelParams(a=1, b=1, k1=1, k2=0.5, m=0.0))
         assert r.contains(0.5, 0.5)
         assert not r.contains(0.5, r.y_hi)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(COORD, COORD), min_size=1, max_size=20),
+           st.sampled_from([(0.0, 1.0, 1.0, 2.0), (0.0025, 1.0, 0.2, 1.1975),
+                            (0.4, 0.6, 0.6, 0.8)]))
+    def test_contains_on_arrays_is_elementwise(self, points, bounds):
+        r = Region(*bounds)
+        # put points exactly on every edge, the excluded y_hi included
+        points += [(r.x_lo, r.y_lo), (r.x_hi, r.y_lo), (r.x_hi, r.y_hi),
+                   (r.x_lo, r.y_hi), (points[0][0], r.y_hi),
+                   (r.x_hi, points[0][1])]
+        x, y = np.array(points).T
+        scalar = [r.contains(float(px), float(py)) for px, py in points]
+        assert r.contains(x, y).tolist() == scalar
+        assert scalar[-6:-2] == [True, True, False, False]
 
 
 class TestPersistence:

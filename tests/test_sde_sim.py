@@ -52,11 +52,35 @@ class TestNoise:
         with pytest.raises(ValueError, match="need h > 0"):
             comparison_bundle(STOCH, (0.55, 0.6), noise)
         with pytest.raises(ValueError, match="need h > 0"):
+            explicit_upper_prey(0.1, 0.5, noise)
+        with pytest.raises(ValueError, match="need h > 0"):
             stationary_histogram(STOCH, LOG_EULER, 0, 0.0, 1.0, h=h)
 
     def test_negative_horizon_rejected(self):
         with pytest.raises(ValueError, match="horizon must be >= 0"):
             make_noise(0, 0.01, -100)
+
+
+class TestHorizon:
+    # every consumer of a NoisePath reads its horizon by one rule
+    NOISE = make_noise(0, 0.01, 100)
+
+    def test_upper_prey_negative_horizon(self):
+        with pytest.raises(ValueError, match="horizon must be >= 0"):
+            explicit_upper_prey(0.1, 0.5, self.NOISE, t_max=-1.0)
+
+    def test_upper_prey_beyond_noise(self):
+        with pytest.raises(ValueError, match="noise path shorter"):
+            explicit_upper_prey(0.1, 0.5, self.NOISE, t_max=2.0)
+
+    def test_path_negative_horizon(self):
+        with pytest.raises(ValueError, match="horizon must be >= 0"):
+            simulate_path(STOCH, (0.55, 0.6), LOG_EULER, self.NOISE,
+                          t_max=-1.0)
+
+    def test_comparison_beyond_noise(self):
+        with pytest.raises(ValueError, match="noise path shorter"):
+            comparison_bundle(STOCH, (0.55, 0.6), self.NOISE, t_max=2.0)
 
 
 class TestPath:
@@ -124,14 +148,34 @@ class TestUpperPrey:
 
 
 class TestComparison:
+    # the orderings hold exactly, also from a start inside the refuge
+    # (x0 < m), where the system ties with x_upper and y_lower, and without
+    # a refuge, where it starts tied with y_upper
     def test_ordering(self):
-        for seed in (0, 1, 2):
-            noise = make_noise(seed, 0.01, 5000)
-            b = comparison_bundle(STOCH, (0.55, 0.6), noise)
-            assert (b.x_lower <= b.x + 1e-14).all()
-            assert (b.x <= b.x_upper + 1e-14).all()
-            assert (b.y_lower <= b.y + 1e-14).all()
-            assert (b.y <= b.y_upper + 1e-14).all()
+        cases = [
+            (STOCH, (0.55, 0.6)),
+            (STOCH, (0.001, 0.6)),
+            (ModelParams(a=0.2, b=0.05, k1=0.5, k2=0.4, m=0.05,
+                         sigma1=0.05, sigma2=0.4), (0.01, 0.6)),
+            (ModelParams(a=1.0, b=0.3, k1=0.2, k2=0.1, m=0.0,
+                         sigma1=0.3, sigma2=0.2), (0.55, 0.6)),
+        ]
+        for p, init in cases:
+            for seed in (0, 1, 2):
+                noise = make_noise(seed, 0.01, 5000)
+                b = comparison_bundle(p, init, noise)
+                assert (b.x_lower <= b.x).all()
+                assert (b.x <= b.x_upper).all()
+                assert (b.y_lower <= b.y).all()
+                assert (b.y <= b.y_upper).all()
+
+    def test_system_columns_are_log_euler_path(self):
+        noise = make_noise(4, 0.01, 3000)
+        b = comparison_bundle(STOCH, (0.55, 0.6), noise, t_max=20.0)
+        sp = simulate_path(STOCH, (0.55, 0.6), LOG_EULER, noise, t_max=20.0)
+        assert np.array_equal(b.times, sp.times)
+        assert np.array_equal(b.x, sp.x)
+        assert np.array_equal(b.y, sp.y)
 
     def test_csv_shape(self):
         noise = make_noise(0, 0.01, 100)
