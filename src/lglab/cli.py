@@ -28,7 +28,7 @@ from .errors import (
     PositivityViolation,
     StepTooLarge,
 )
-from .model import ModelParams, RawParams, load_params, nondimensionalize
+from .model import _MODEL_FIELDS, ModelParams, _horizon, load_params
 from . import equilibria as eq
 from . import ode_sim, qualitative, sde_sim
 
@@ -82,38 +82,27 @@ def _dump(payload: dict) -> str:
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     g = parser.add_argument_group("model parameters")
-    for name in ("a", "b", "k1", "k2", "m", "sigma1", "sigma2"):
+    for name in _MODEL_FIELDS:
         g.add_argument(f"--{name}", type=float, default=None)
-    g.add_argument("--params", metavar="FILE", help="JSON file with dimensionless parameters")
-    g.add_argument("--raw", metavar="FILE", help="JSON file with dimensional parameters")
+    files = g.add_mutually_exclusive_group()
+    files.add_argument("--params", metavar="FILE", help="JSON file with dimensionless parameters")
+    files.add_argument("--raw", metavar="FILE", help="JSON file with dimensional parameters")
 
 
 def _build_params(args) -> ModelParams:
-    if args.params and args.raw:
-        raise InvalidParams("--params and --raw are mutually exclusive")
+    d = {}
     if args.params:
-        p = load_params(args.params)
+        d = load_params(args.params).to_dict()
     elif args.raw:
         with open(args.raw) as f:
-            raw = RawParams(**json.load(f))
-        p = nondimensionalize(raw, args.sigma1 or 0.0, args.sigma2 or 0.0)
-    else:
-        missing = [n for n in ("a", "b", "k1", "k2") if getattr(args, n) is None]
-        if missing:
-            raise InvalidParams(f"missing required parameters: {missing} "
-                                "(or use --params/--raw)")
-        return ModelParams(a=args.a, b=args.b, k1=args.k1, k2=args.k2,
-                           m=args.m or 0.0, sigma1=args.sigma1 or 0.0,
-                           sigma2=args.sigma2 or 0.0)
-    # explicit flags override values from a file
-    overrides = {n: getattr(args, n) for n in
-                 ("a", "b", "k1", "k2", "m", "sigma1", "sigma2")
-                 if getattr(args, n) is not None}
-    if overrides:
-        d = p.to_dict()
-        d.update(overrides)
-        p = ModelParams(**d)
-    return p
+            d = load_params({"raw": json.load(f)}).to_dict()
+    d.update((n, getattr(args, n)) for n in _MODEL_FIELDS
+             if getattr(args, n) is not None)
+    missing = [n for n in _MODEL_FIELDS[:4] if n not in d]
+    if missing:
+        raise InvalidParams(f"missing required parameters: {missing} "
+                            "(or use --params/--raw)")
+    return ModelParams(**d)
 
 
 def analysis_report(p: ModelParams, want_hopf: bool = False) -> dict:
@@ -210,9 +199,11 @@ def cmd_sde(args) -> int:
     scheme = sde_sim.MILSTEIN if args.scheme == "milstein" else sde_sim.LOG_EULER
 
     if args.mode == "path":
-        n = int(round(args.t_max / args.h)) if args.h > 0 else 0
-        # make_noise rejects h <= 0 and a negative horizon
-        noise = sde_sim.make_noise(args.seed, args.h, n)
+        if args.comparison and (scheme != sde_sim.LOG_EULER or args.shared_noise):
+            raise InvalidParams("--comparison runs LogEuler on independent "
+                                "noise; drop --scheme milstein and --shared-noise")
+        noise = sde_sim.make_noise(args.seed, args.h,
+                                   _horizon(args.h, args.t_max))
         if args.comparison:
             path = sde_sim.comparison_bundle(p, (args.x0, args.y0), noise)
         else:
@@ -275,9 +266,6 @@ def cmd_sde(args) -> int:
     }
     _atomic_write(args.out, _dump(payload))
     return 0
-
-
-_SCAN_NAMES = ("a", "b", "k1", "k2", "m", "sigma1", "sigma2")
 
 
 def cmd_scan(args) -> int:
@@ -378,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("scan", help="one-parameter sweep CSV")
     _add_param_flags(pc)
-    pc.add_argument("--scan", dest="name", required=True, choices=_SCAN_NAMES)
+    pc.add_argument("--scan", dest="name", required=True, choices=_MODEL_FIELDS)
     pc.add_argument("--from", dest="lo", type=float, required=True)
     pc.add_argument("--to", dest="hi", type=float, required=True)
     pc.add_argument("--steps", type=int, required=True)
@@ -388,19 +376,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_HINTS = {StepTooLarge: "; reduce --h",
+          PositivityViolation: "; try --scheme log-euler or a smaller --h"}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except StepTooLarge as exc:
-        print(f"error: {exc}; reduce --h", file=sys.stderr)
-        return 1
-    except PositivityViolation as exc:
-        print(f"error: {exc}; try --scheme log-euler or a smaller --h",
-              file=sys.stderr)
-        return 1
     except (LglabError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}{_HINTS.get(type(exc), '')}", file=sys.stderr)
         return 1
 
 

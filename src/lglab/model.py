@@ -13,11 +13,14 @@ multiplicative noise (sigma1*x dW1, sigma2*y dW2).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidParams, KinkPoint
+
+_MODEL_FIELDS = ("a", "b", "k1", "k2", "m", "sigma1", "sigma2")
 
 
 @dataclass(frozen=True)
@@ -40,8 +43,8 @@ class RawParams:
 
     def __post_init__(self):
         for name in ("rho1", "rho2", "beta", "alpha1", "alpha2", "kappa1", "kappa2"):
-            if not getattr(self, name) > 0:
-                raise InvalidParams(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvalidParams(f"{name} must be strictly positive and finite")
         if not 0 <= self.mu < self.rho1 / self.beta:
             raise InvalidParams("mu must satisfy 0 <= mu < rho1/beta")
 
@@ -60,12 +63,12 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("a", "b", "k1", "k2"):
-            if not getattr(self, name) > 0:
-                raise InvalidParams(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvalidParams(f"{name} must be strictly positive and finite")
         if not 0 <= self.m < 1:
             raise InvalidParams("m must satisfy 0 <= m < 1")
-        if self.sigma1 < 0 or self.sigma2 < 0:
-            raise InvalidParams("noise intensities must be nonnegative")
+        if not (0 <= self.sigma1 < math.inf and 0 <= self.sigma2 < math.inf):
+            raise InvalidParams("noise intensities must be nonnegative and finite")
 
     @property
     def deterministic(self) -> bool:
@@ -75,10 +78,7 @@ class ModelParams:
         return replace(self, b=b)
 
     def to_dict(self) -> dict:
-        return {
-            "a": self.a, "b": self.b, "k1": self.k1, "k2": self.k2,
-            "m": self.m, "sigma1": self.sigma1, "sigma2": self.sigma2,
-        }
+        return {name: getattr(self, name) for name in _MODEL_FIELDS}
 
 
 def nondimensionalize(raw: RawParams, sigma1: float = 0.0, sigma2: float = 0.0) -> ModelParams:
@@ -102,7 +102,8 @@ def load_params(obj) -> ModelParams:
     """Build ModelParams from a dict, JSON string, or path to a JSON file.
 
     Accepts either the dimensionless fields directly or {"raw": {...}}, which
-    triggers nondimensionalize.  Missing sigma fields default to 0.
+    triggers nondimensionalize.  Missing sigma fields default to 0.  A
+    missing, unknown or non-numeric field raises InvalidParams.
     """
     if isinstance(obj, str):
         try:
@@ -110,14 +111,44 @@ def load_params(obj) -> ModelParams:
         except json.JSONDecodeError:
             with open(obj) as f:
                 obj = json.load(f)
-    if "raw" in obj:
-        raw = RawParams(**obj["raw"])
-        return nondimensionalize(raw, obj.get("sigma1", 0.0), obj.get("sigma2", 0.0))
-    known = {"a", "b", "k1", "k2", "m", "sigma1", "sigma2"}
-    unknown = set(obj) - known
-    if unknown:
-        raise InvalidParams(f"unknown parameter fields: {sorted(unknown)}")
-    return ModelParams(**obj)
+    try:  # a missing, unknown or non-numeric field fails in the constructor
+        if "raw" in obj:
+            noise = {k: v for k, v in obj.items() if k != "raw"}
+            return nondimensionalize(RawParams(**obj["raw"]), **noise)
+        return ModelParams(**obj)
+    except TypeError as exc:
+        raise InvalidParams(f"bad parameter record {obj}: {exc}") from None
+
+
+def _check_h(h) -> None:
+    if not h > 0:
+        raise ValueError("need h > 0")
+    if not h < math.inf:
+        raise ValueError("h must be finite")
+
+
+def _horizon(h, t_end, available=None) -> int:
+    """Steps of size h from 0 to t_end, round(t_end / h), at most the steps
+    available on a noise path; t_end = None takes all of them."""
+    _check_h(h)
+    if t_end is None:
+        return available
+    if not t_end >= 0:
+        raise ValueError("horizon must be >= 0")
+    if not t_end / h < math.inf:
+        raise ValueError("horizon must be finite")
+    n = int(round(t_end / h))
+    if available is not None and n > available:
+        raise ValueError("noise path shorter than requested horizon")
+    return n
+
+
+def _check_state(x, y) -> None:
+    """A finite point of the closed quadrant; x and y may be arrays."""
+    if not np.all((x >= 0) & (y >= 0)):
+        raise ValueError("initial state must lie in the closed quadrant")
+    if not np.all((x < math.inf) & (y < math.inf)):
+        raise ValueError("initial state must be finite")
 
 
 def _field_scalar(a, b, k1, k2, m, x, y):

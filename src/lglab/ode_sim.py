@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Inconclusive, NonFinite, StepTooLarge, TooShort
-from .model import ModelParams, _field_batch, _field_scalar
+from .model import (ModelParams, _check_h, _check_state, _field_batch,
+                    _field_scalar, _horizon)
 
 EULER = "Euler"
 RK4 = "RK4"
@@ -78,17 +79,15 @@ def integrate(p: ModelParams, init, scheme: str = RK4, h: float = 1e-3,
               t_max: float = 100.0) -> Trajectory:
     """Integrate from init over [0, t_max] with fixed step h.
 
+    It takes round(t_max / h) steps, so t_max < h/2 gives init alone.
     States are clamped to the closed quadrant when a step undershoots zero
     by at most 1e-12; a larger undershoot raises StepTooLarge with the step
     index.  Non-finite states raise NonFinite.
     """
-    if h <= 0 or t_max < h:
-        raise ValueError("need h > 0 and t_max >= h")
+    n = _horizon(h, t_max)
     x, y = float(init[0]), float(init[1])
-    if x < 0 or y < 0:
-        raise ValueError("initial state must lie in the closed quadrant")
+    _check_state(x, y)
     a, b, k1, k2, m = p.a, p.b, p.k1, p.k2, p.m
-    n = int(round(t_max / h))
     states = np.empty((n + 1, 2))
     states[0] = (x, y)
 
@@ -136,16 +135,14 @@ def integrate_batch(a, b, k1, k2, m, init, h: float, n_steps: int,
     Inputs are checked before the first step, with the errors integrate
     and ModelParams raise.
     """
-    if not h > 0:
-        raise ValueError("need h > 0")
+    _check_h(h)
     if not 0 <= tail_start <= n_steps:
         raise ValueError("need 0 <= tail_start <= n_steps")
     for extreme in (np.min, np.max):  # every system passes if these do
         ModelParams(*(float(extreme(v)) for v in (a, b, k1, k2, m)))
     x = np.array(init[:, 0], dtype=float)
     y = np.array(init[:, 1], dtype=float)
-    if (x < 0).any() or (y < 0).any():
-        raise ValueError("initial state must lie in the closed quadrant")
+    _check_state(x, y)
     h2, h6 = 0.5 * h, h / 6.0
     min_x = np.full_like(x, np.inf)
     max_x = np.full_like(x, -np.inf)

@@ -11,6 +11,7 @@ THREE = ["--a", "0.5", "--b", "0.1", "--k1", "0.08", "--k2", "0.2",
          "--m", "0.0025"]
 STOCH = ["--a", "0.4", "--b", "0.1", "--k1", "0.08", "--k2", "0.2",
          "--m", "0.0025", "--sigma1", "0.1", "--sigma2", "0.1"]
+SDE = ["--seed", "1", "--paths", "4", "--t-max", "1"]
 
 
 def load_schema(name):
@@ -21,6 +22,11 @@ def load_schema(name):
 def run(capsys, argv):
     code = main(argv)
     return code, capsys.readouterr()
+
+
+def assert_one_error(code, out, message):
+    # exit 1, one `error:` line and no artifact on stdout
+    assert (code, out.out, out.err) == (1, "", f"error: {message}\n")
 
 
 class TestAnalyze:
@@ -53,6 +59,39 @@ class TestAnalyze:
         code, out = run(capsys, ["analyze", "--a", "0.5"])
         assert code == 1
         assert "missing" in out.err
+
+    @pytest.mark.parametrize("flag, record, field", [
+        ("--params", {"b": 0.1, "k1": 0.08, "k2": 0.2}, "'a'"),
+        ("--params", {"a": "x", "b": 0.1, "k1": 0.08, "k2": 0.2}, "'x'"),
+        ("--raw", {"rho1": 1, "rho2": 1, "beta": 1, "alpha1": 1, "alpha2": 1,
+                   "kappa1": 1, "kappa2": 1, "gamma": 1}, "'gamma'"),
+    ])
+    def test_bad_params_file_is_exit_1(self, capsys, tmp_path, flag, record,
+                                       field):
+        # missing, non-numeric and unknown fields: one line naming the record
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps(record))
+        code, out = run(capsys, ["analyze", flag, str(f)])
+        assert (code, out.out) == (1, "")
+        assert out.err.startswith("error: bad parameter record {")
+        assert out.err.count("\n") == 1 and field in out.err
+
+    def test_raw_file_with_override(self, capsys, tmp_path):
+        f = tmp_path / "r.json"
+        f.write_text(json.dumps({"rho1": 2.0, "rho2": 0.5, "beta": 0.4,
+                                 "alpha1": 3.0, "alpha2": 1.5, "kappa1": 0.7,
+                                 "kappa2": 0.9, "mu": 1.0}))
+        code, out = run(capsys, ["analyze", "--raw", str(f), "--a", "0.7",
+                                 "--sigma1", "0.2"])
+        assert code == 0
+        params = json.loads(out.out)["params"]
+        assert (params["a"], params["b"], params["sigma1"]) == (0.7, 0.25, 0.2)
+
+    def test_params_and_raw_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--params", "p.json", "--raw", "r.json"])
+        assert exc.value.code == 1
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_bad_usage_is_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -205,6 +244,30 @@ class TestSde:
         assert code == 1
         assert out.err == "error: horizon must be >= 0\n"
 
+    @pytest.mark.parametrize("mode", [["path"], ["path", "--comparison"],
+                                      ["ensemble"], ["stationary"],
+                                      ["hitting", "--target", "0,2,0,2"]])
+    def test_infinite_h_is_exit_1(self, capsys, mode):
+        code, out = run(capsys, ["sde", mode[0], *STOCH, *mode[1:],
+                                 "--seed", "1", "--paths", "4", "--h", "inf"])
+        assert_one_error(code, out, "h must be finite")
+
+    @pytest.mark.parametrize("flags", [["--scheme", "milstein"],
+                                       ["--shared-noise"],
+                                       ["--scheme", "milstein", "--shared-noise"]])
+    def test_comparison_rejects_ignored_flags(self, capsys, flags):
+        code, out = run(capsys, ["sde", "path", *STOCH, "--comparison",
+                                 *flags, "--seed", "1", "--t-max", "1"])
+        assert_one_error(code, out, "--comparison runs LogEuler on independent "
+                         "noise; drop --scheme milstein and --shared-noise")
+
+    def test_comparison_allows_explicit_log_euler(self, capsys):
+        argv = ["sde", "path", *STOCH, "--comparison", "--seed", "1",
+                "--t-max", "1"]
+        code, out = run(capsys, [*argv, "--scheme", "log-euler"])
+        assert code == 0
+        assert out.out == run(capsys, argv)[1].out
+
     def test_hitting_validates(self, capsys):
         code, out = run(capsys, ["sde", "hitting", *STOCH, "--seed", "0",
                                  "--paths", "4", "--h", "0.01",
@@ -259,3 +322,26 @@ class TestScan:
                                  "--from", "0.1", "--to", "0.2",
                                  "--steps", "1"])
         assert code == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sde", "path", *STOCH, *SDE, "--x0", "nan"],
+     "initial state must lie in the closed quadrant"),
+    (["sde", "ensemble", *STOCH, *SDE, "--x0", "nan"],
+     "initial state must lie in the closed quadrant"),
+    (["sde", "path", *STOCH, *SDE, "--sigma1", "nan"],
+     "noise intensities must be nonnegative and finite"),
+    (["sde", "ensemble", *STOCH, *SDE, "--sigma2", "inf"],
+     "noise intensities must be nonnegative and finite"),
+    (["sde", "path", *STOCH, "--seed", "1", "--t-max", "inf"],
+     "horizon must be finite"),
+    (["ode", *THREE, "--t-max", "inf"], "horizon must be finite"),
+    (["ode", *THREE, "--h", "nan"], "need h > 0"),
+    (["ode", *THREE, "--t-max", "nan"], "horizon must be >= 0"),
+    (["ode", *THREE, "--x0", "nan"],
+     "initial state must lie in the closed quadrant"),
+    (["analyze", "--a", "inf", "--b", "0.1", "--k1", "0.08", "--k2", "0.2"],
+     "a must be strictly positive and finite"),
+])
+def test_non_finite_input_is_exit_1(capsys, argv, message):
+    assert_one_error(*run(capsys, argv), message)

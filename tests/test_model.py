@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -40,6 +41,28 @@ class TestParams:
         with pytest.raises(InvalidParams):
             ModelParams(a=1, b=1, k1=1, k2=1, sigma1=-0.1)
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("a", math.inf, "a must be strictly positive"),
+        ("b", math.inf, "b must be strictly positive"),
+        ("k1", math.inf, "k1 must be strictly positive"),
+        ("k2", math.inf, "k2 must be strictly positive"),
+        ("sigma1", math.nan, "noise intensities must be nonnegative"),
+        ("sigma1", math.inf, "noise intensities must be nonnegative"),
+        ("sigma2", math.nan, "noise intensities must be nonnegative"),
+        ("sigma2", math.inf, "noise intensities must be nonnegative"),
+    ])
+    def test_non_finite_rejected(self, field, value, match):
+        with pytest.raises(InvalidParams, match=match):
+            ModelParams(**{"a": 1, "b": 1, "k1": 1, "k2": 1, field: value})
+
+    RAW = {"rho1": 1, "rho2": 1, "beta": 1, "alpha1": 1, "alpha2": 1,
+           "kappa1": 1, "kappa2": 1}
+
+    @pytest.mark.parametrize("field", list(RAW))
+    def test_raw_non_finite_rejected(self, field):
+        with pytest.raises(InvalidParams, match=f"{field} must be strictly"):
+            RawParams(**{**self.RAW, field: math.inf})
+
     def test_raw_validation(self):
         with pytest.raises(InvalidParams):
             RawParams(rho1=1, rho2=1, beta=1, alpha1=1, alpha2=1,
@@ -78,6 +101,22 @@ class TestParams:
     def test_load_params_rejects_unknown(self):
         with pytest.raises(InvalidParams):
             load_params({"a": 1, "b": 1, "k1": 1, "k2": 1, "gamma": 2})
+
+    @pytest.mark.parametrize("obj, match", [
+        ({"b": 1, "k1": 1, "k2": 1}, "missing 1 required positional argument: 'a'"),
+        ({"a": "x", "b": 1, "k1": 1, "k2": 1}, "not supported between"),
+        ({"a": None, "b": 1, "k1": 1, "k2": 1}, "not supported between"),
+        ({"raw": dict(RAW, gamma=2)}, "unexpected keyword argument 'gamma'"),
+        ({"raw": {"rho1": 1}}, "missing 6 required positional arguments"),
+        ({"raw": dict(RAW, mu="0.1")}, "not supported between"),
+        ({"raw": RAW, "sigma1": "0.1"}, "not supported between"),
+        ({"raw": RAW, "a": 2}, "unexpected keyword argument 'a'"),
+        ({"raw": [1, 2]}, "must be a mapping"),
+        ([1, 2], "must be a mapping"),
+    ])
+    def test_load_params_rejects_bad_record(self, obj, match):
+        with pytest.raises(InvalidParams, match=match):
+            load_params(obj)
 
 
 class TestField:

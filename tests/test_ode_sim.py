@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -60,6 +61,22 @@ class TestIntegrate:
             init = (float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.05, 1.0)))
             traj = integrate(p, init, EULER, h=0.01, t_max=10.0)
             assert np.array_equal(traj.states, euler_oracle(p, init, 0.01, 1000))
+
+    @pytest.mark.parametrize("t_max, match", [
+        (-1.0, "horizon must be >= 0"),
+        (math.nan, "horizon must be >= 0"),
+        (math.inf, "horizon must be finite"),
+    ])
+    def test_bad_horizon_rejected(self, t_max, match):
+        with pytest.raises(ValueError, match=match):
+            integrate(STOCH_FIG, (0.5, 0.5), RK4, h=0.01, t_max=t_max)
+
+    def test_horizon_rounds_like_the_sde_integrators(self):
+        # round(t_max / h) steps: below h/2 only the initial state
+        for t_max, n in ((0.0, 0), (0.004, 0), (0.006, 1)):
+            traj = integrate(STOCH_FIG, (0.5, 0.5), RK4, h=0.01, t_max=t_max)
+            assert traj.states.shape == (n + 1, 2)
+            assert tuple(traj.states[0]) == (0.5, 0.5)
 
     def test_step_too_large(self):
         p = ModelParams(a=5, b=5, k1=0.05, k2=0.05)
@@ -126,10 +143,26 @@ class TestBatchValidation:
         (dict(k2=0.0), "k2 must be strictly positive"),
         (dict(m=1.5), "m must satisfy 0 <= m < 1"),
         (dict(m=np.array([0.0, -0.1])), "m must satisfy 0 <= m < 1"),
+        (dict(a=np.array([0.5, math.inf])), "a must be strictly positive"),
+        (dict(k1=math.inf), "k1 must be strictly positive"),
     ])
     def test_params_checked_as_model_params(self, params, message):
         with pytest.raises(InvalidParams, match=message):
             self.run(**params)
+
+    @pytest.mark.parametrize("h, state, match", [
+        (math.nan, (0.9, 0.3), "need h > 0"),
+        (math.inf, (0.9, 0.3), "h must be finite"),
+        (1e-2, (math.nan, 0.3), "closed quadrant"),
+        (1e-2, (0.9, math.nan), "closed quadrant"),
+        (1e-2, (math.inf, 0.3), "initial state must be finite"),
+        (1e-2, (0.9, math.inf), "initial state must be finite"),
+    ])
+    def test_same_rule_as_integrate(self, h, state, match):
+        with pytest.raises(ValueError, match=match):
+            integrate(self.P, state, RK4, h=h, t_max=1.0)
+        with pytest.raises(ValueError, match=match):
+            self.run(init=np.array([[0.4, 0.5], state]), h=h)
 
 
 class TestCycle:

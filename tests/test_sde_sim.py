@@ -1,6 +1,5 @@
 import io
 import math
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -60,6 +59,21 @@ class TestNoise:
         with pytest.raises(ValueError, match="horizon must be >= 0"):
             make_noise(0, 0.01, -100)
 
+    def test_infinite_h_rejected(self):
+        # h = inf passes h > 0, so it has its own rule and message
+        with pytest.raises(ValueError, match="h must be finite"):
+            make_noise(0, math.inf, 10)
+        noise = NoisePath(seed=0, h=math.inf, xi1=np.zeros(10),
+                          xi2=np.zeros(10))
+        with pytest.raises(ValueError, match="h must be finite"):
+            simulate_path(STOCH, (0.55, 0.6), LOG_EULER, noise)
+        with pytest.raises(ValueError, match="h must be finite"):
+            comparison_bundle(STOCH, (0.55, 0.6), noise)
+        with pytest.raises(ValueError, match="h must be finite"):
+            explicit_upper_prey(0.1, 0.5, noise)
+        with pytest.raises(ValueError, match="h must be finite"):
+            stationary_histogram(STOCH, LOG_EULER, 0, 0.0, 1.0, h=math.inf)
+
 
 class TestHorizon:
     # every consumer of a NoisePath reads its horizon by one rule
@@ -81,6 +95,15 @@ class TestHorizon:
     def test_comparison_beyond_noise(self):
         with pytest.raises(ValueError, match="noise path shorter"):
             comparison_bundle(STOCH, (0.55, 0.6), self.NOISE, t_max=2.0)
+
+    def test_infinite_horizon_rejected(self):
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            simulate_path(STOCH, (0.55, 0.6), LOG_EULER, self.NOISE,
+                          t_max=math.inf)
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            explicit_upper_prey(0.1, 0.5, self.NOISE, t_max=math.inf)
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            stationary_histogram(STOCH, LOG_EULER, 0, 0.0, math.inf)
 
 
 class TestPath:
@@ -114,6 +137,20 @@ class TestPath:
             sp = simulate_path(p, (0.55, 0.6), LOG_EULER, noise)
             assert (sp.states > 0).all()
 
+    @pytest.mark.parametrize("init, match", [
+        ((math.nan, 0.6), "closed quadrant"),
+        ((0.55, math.nan), "closed quadrant"),
+        ((math.inf, 0.6), "initial state must be finite"),
+        ((0.55, math.inf), "initial state must be finite"),
+    ])
+    def test_non_finite_start_rejected(self, init, match):
+        noise = make_noise(0, 0.01, 10)
+        for scheme in (LOG_EULER, MILSTEIN):
+            with pytest.raises(ValueError, match=match):
+                simulate_path(STOCH, init, scheme, noise)
+        with pytest.raises(ValueError, match=match):
+            stationary_histogram(STOCH, LOG_EULER, 0, 0.0, 1.0, init=init)
+
     def test_milstein_positivity_violation(self):
         # predator starts far above its carrying capacity; with a big step
         # the drift alone overshoots straight through zero
@@ -136,6 +173,16 @@ class TestUpperPrey:
         t, x = explicit_upper_prey(0.0, 0.3, noise)
         exact = 0.3 * np.exp(t) / (1 + 0.3 * (np.exp(t) - 1))
         assert np.max(np.abs(x - exact)) < 1e-6
+
+    @pytest.mark.parametrize("sigma1, x0, match", [
+        (0.1, math.nan, "x0 must be positive"),
+        (0.1, math.inf, "x0 must be positive"),
+        (math.nan, 0.5, "sigma1 must be nonnegative"),
+        (math.inf, 0.5, "sigma1 must be nonnegative"),
+    ])
+    def test_non_finite_input_rejected(self, sigma1, x0, match):
+        with pytest.raises(ValueError, match=match):
+            explicit_upper_prey(sigma1, x0, make_noise(2, 0.01, 100))
 
     def test_large_noise_extinction(self):
         n_ext = 0
@@ -253,20 +300,15 @@ class TestEnsemble:
         assert recorded + int(stats.hist_overflow) == 16 * 181
 
     def test_thread_invariance(self):
+        # one lockstep run in one thread: a repeated call is bit-identical
         kw = dict(n_paths=12, seed0=3, t_max=5.0, checkpoints=[2.0, 5.0],
                   h=0.01, bins=10)
-        os.environ["LG_LAB_THREADS"] = "1"
         a = ensemble(STOCH, (0.55, 0.6), LOG_EULER, **kw)
-        os.environ["LG_LAB_THREADS"] = "4"
         b = ensemble(STOCH, (0.55, 0.6), LOG_EULER, **kw)
-        os.environ.pop("LG_LAB_THREADS")
-        # histogram counts and extinction tallies are integer merges, so
-        # they match exactly; moments are merged block sums and may differ
-        # by summation order round-off only
         assert np.array_equal(a.hist_counts, b.hist_counts)
         assert a.extinction_fraction_x == b.extinction_fraction_x
-        assert np.allclose(a.mean, b.mean, rtol=1e-12, atol=0)
-        assert np.allclose(a.variance, b.variance, rtol=1e-9, atol=1e-15)
+        assert np.array_equal(a.mean, b.mean)
+        assert np.array_equal(a.variance, b.variance)
 
     def test_extinction_fraction_large_noise(self):
         p = ModelParams(a=0.4, b=0.1, k1=0.08, k2=0.2, m=0.0025,
@@ -417,6 +459,12 @@ class TestLockstepValidation:
         (dict(init=(-0.5, 0.6)), "closed quadrant"),
         (dict(init=(0.55, -1e-9)), "closed quadrant"),
         (dict(t_end=-1.0), "horizon"),
+        (dict(h=math.inf), "h must be finite"),
+        (dict(t_end=math.inf), "horizon must be finite"),
+        (dict(init=(math.nan, 0.6)), "closed quadrant"),
+        (dict(init=(0.55, math.nan)), "closed quadrant"),
+        (dict(init=(math.inf, 0.6)), "initial state must be finite"),
+        (dict(init=(0.55, math.inf)), "initial state must be finite"),
     ])
     def test_bad_input_raises(self, which, bad, match):
         with pytest.raises(ValueError, match=match):
