@@ -28,7 +28,8 @@ from .errors import (
     PositivityViolation,
     StepTooLarge,
 )
-from .model import _MODEL_FIELDS, ModelParams, _horizon, load_params
+from .model import (_MODEL_FIELDS, ModelParams, _check_burn_in, _horizon,
+                    load_params)
 from . import equilibria as eq
 from . import ode_sim, qualitative, sde_sim
 
@@ -167,13 +168,15 @@ def cmd_analyze(args) -> int:
 def cmd_ode(args) -> int:
     p = _build_params(args)
     scheme = ode_sim.EULER if args.scheme == "euler" else ode_sim.RK4
+    burn = args.burn_in if args.burn_in is not None else 0.5 * args.t_max
+    if args.detect_cycle:
+        _check_burn_in(burn)  # before the CSV is written
     traj = ode_sim.integrate(p, (args.x0, args.y0), scheme=scheme,
                              h=args.h, t_max=args.t_max)
     buf = io.StringIO()
     ode_sim.write_csv(traj, buf)
     _atomic_write(args.out, buf.getvalue())
     if args.detect_cycle:
-        burn = args.burn_in if args.burn_in is not None else 0.5 * args.t_max
         if scheme != ode_sim.RK4:
             # detection always runs on the RK4 trajectory
             traj = ode_sim.integrate(p, (args.x0, args.y0), scheme=ode_sim.RK4,
@@ -198,6 +201,8 @@ def cmd_sde(args) -> int:
     p = _build_params(args)
     scheme = sde_sim.MILSTEIN if args.scheme == "milstein" else sde_sim.LOG_EULER
 
+    if args.shared_noise and args.mode != "path":
+        raise InvalidParams("--shared-noise applies to sde path only")
     if args.mode == "path":
         if args.comparison and (scheme != sde_sim.LOG_EULER or args.shared_noise):
             raise InvalidParams("--comparison runs LogEuler on independent "
@@ -253,9 +258,10 @@ def cmd_sde(args) -> int:
 
     # hitting
     try:
-        target = qualitative.Region(*map(float, args.target.split(",")))
-    except (TypeError, ValueError):
+        x_lo, x_hi, y_lo, y_hi = map(float, args.target.split(","))
+    except ValueError:
         raise InvalidParams("--target needs x_lo,x_hi,y_lo,y_hi") from None
+    target = qualitative.Region(x_lo, x_hi, y_lo, y_hi)
     rep = sde_sim.hitting_time(p, scheme, (args.x0, args.y0), target,
                                args.paths, args.seed, args.t_cap, h=args.h)
     payload = {

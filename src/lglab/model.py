@@ -127,6 +127,11 @@ def _check_h(h) -> None:
         raise ValueError("h must be finite")
 
 
+def _check_burn_in(burn_in) -> None:
+    if not burn_in >= 0:
+        raise ValueError("burn_in must be >= 0")
+
+
 def _horizon(h, t_end, available=None) -> int:
     """Steps of size h from 0 to t_end, round(t_end / h), at most the steps
     available on a noise path; t_end = None takes all of them."""

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Inconclusive, NonFinite, StepTooLarge, TooShort
-from .model import (ModelParams, _check_h, _check_state, _field_batch,
-                    _field_scalar, _horizon)
+from .model import (ModelParams, _check_burn_in, _check_h, _check_state,
+                    _field_batch, _field_scalar, _horizon)
 
 EULER = "Euler"
 RK4 = "RK4"
@@ -67,8 +67,7 @@ class LongRunBounds:
 
 
 def _clamp(v: float, k: int) -> float:
-    if v >= 0.0:
-        return v
+    """0 for a state v < 0 within round-off of the axis; raises otherwise."""
     if v >= -_UNDERSHOOT:
         return 0.0
     raise StepTooLarge(f"state left the closed quadrant at step {k}",
@@ -88,23 +87,25 @@ def integrate(p: ModelParams, init, scheme: str = RK4, h: float = 1e-3,
     x, y = float(init[0]), float(init[1])
     _check_state(x, y)
     a, b, k1, k2, m = p.a, p.b, p.k1, p.k2, p.m
-    states = np.empty((n + 1, 2))
-    states[0] = (x, y)
+    xs, ys = [x], [y]
 
     if scheme == EULER:
-        for k in range(n):
+        for k in range(1, n + 1):
             v1, v2 = _field_scalar(a, b, k1, k2, m, x, y)
             x = x + v1 * h
             y = y + v2 * h
             if not (math.isfinite(x) and math.isfinite(y)):
-                raise NonFinite(f"non-finite state at step {k + 1}")
-            x = _clamp(x, k + 1)
-            y = _clamp(y, k + 1)
-            states[k + 1] = (x, y)
+                raise NonFinite(f"non-finite state at step {k}")
+            if x < 0.0:
+                x = _clamp(x, k)
+            if y < 0.0:
+                y = _clamp(y, k)
+            xs.append(x)
+            ys.append(y)
     elif scheme == RK4:
         h2 = 0.5 * h
         h6 = h / 6.0
-        for k in range(n):
+        for k in range(1, n + 1):
             a1, b1 = _field_scalar(a, b, k1, k2, m, x, y)
             a2, b2 = _field_scalar(a, b, k1, k2, m, x + h2 * a1, y + h2 * b1)
             a3, b3 = _field_scalar(a, b, k1, k2, m, x + h2 * a2, y + h2 * b2)
@@ -112,13 +113,17 @@ def integrate(p: ModelParams, init, scheme: str = RK4, h: float = 1e-3,
             x = x + h6 * (a1 + 2.0 * (a2 + a3) + a4)
             y = y + h6 * (b1 + 2.0 * (b2 + b3) + b4)
             if not (math.isfinite(x) and math.isfinite(y)):
-                raise NonFinite(f"non-finite state at step {k + 1}")
-            x = _clamp(x, k + 1)
-            y = _clamp(y, k + 1)
-            states[k + 1] = (x, y)
+                raise NonFinite(f"non-finite state at step {k}")
+            if x < 0.0:
+                x = _clamp(x, k)
+            if y < 0.0:
+                y = _clamp(y, k)
+            xs.append(x)
+            ys.append(y)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 
+    states = np.column_stack([xs, ys])
     times = np.arange(n + 1) * h
     return Trajectory(times=times, states=states, scheme=scheme, h=h)
 
@@ -184,6 +189,7 @@ def detect_limit_cycle(p: ModelParams, traj: Trajectory,
     period within 1% and the x peak-to-peak extent exceeds 1e-4; stability
     comes from the trend of log-gaps between successive return points.
     """
+    _check_burn_in(t_burn)
     x, y, t, h = traj.x, traj.y, traj.times, traj.h
     g = y - (p.k2 + x - p.m)
     # sign change of g with x increasing: section crossing between k and k+1

@@ -35,6 +35,13 @@ class Region:
     y_lo: float
     y_hi: float
 
+    def __post_init__(self):
+        # negated comparisons, so that a NaN bound fails too
+        if not (self.x_lo <= self.x_hi and self.y_lo < self.y_hi):
+            raise ValueError(
+                "region needs x_lo <= x_hi and y_lo < y_hi, got "
+                f"[{self.x_lo}, {self.x_hi}] x [{self.y_lo}, {self.y_hi})")
+
     def contains(self, x, y):
         """Whether (x, y) lies in the rectangle; elementwise for arrays."""
         return ((self.x_lo <= x) & (x <= self.x_hi)

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PositivityViolation
-from .model import (ModelParams, _check_h, _check_state, _field_batch,
-                    _field_scalar, _horizon)
+from .model import (ModelParams, _check_burn_in, _check_h, _check_state,
+                    _field_batch, _field_scalar, _horizon)
 from .ode_sim import _write_rows
 from .qualitative import STATIONARY, Region, stochastic_regime
 
@@ -140,38 +140,40 @@ def simulate_path(p: ModelParams, init, scheme: str, noise: NoisePath,
     a, b, k1, k2, m = p.a, p.b, p.k1, p.k2, p.m
     s1, s2 = p.sigma1, p.sigma2
     sqh = math.sqrt(h)
-    xi1 = noise.xi2 if shared_noise else noise.xi1
-    xi2 = noise.xi2
-    states = np.empty((n + 1, 2))
-    states[0] = (x, y)
+    # the increments as Python floats: numpy scalars would make every
+    # operation of every step a numpy call
+    g2s = noise.xi2[:n].tolist()
+    g1s = g2s if shared_noise else noise.xi1[:n].tolist()
+    xs, ys = [x], [y]
 
     if scheme == MILSTEIN:
         c1 = 0.5 * s1 * s1
         c2 = 0.5 * s2 * s2
-        for k in range(n):
+        for k, (g1, g2) in enumerate(zip(g1s, g2s), 1):
             v1, v2 = _field_scalar(a, b, k1, k2, m, x, y)
-            g1 = xi1[k]
-            g2 = xi2[k]
             xn = x + (v1 * h + s1 * x * sqh * g1 + c1 * x * (h * g1 * g1 - h))
             yn = y + (v2 * h + s2 * y * sqh * g2 + c2 * y * (h * g2 * g2 - h))
             if (xn <= 0.0 < x) or (yn <= 0.0 < y):
-                raise PositivityViolation(
-                    f"positivity lost at step {k + 1}", step_index=k + 1)
+                raise PositivityViolation(f"positivity lost at step {k}",
+                                          step_index=k)
             x, y = xn, yn
-            states[k + 1] = (x, y)
+            xs.append(x)
+            ys.append(y)
     elif scheme == LOG_EULER:
         d1 = 0.5 * s1 * s1
         d2 = 0.5 * s2 * s2
-        for k in range(n):
+        for g1, g2 in zip(g1s, g2s):
             v1, v2 = _field_scalar(a, b, k1, k2, m, x, y)
             if x > 0.0:
-                x = x * math.exp((v1 / x - d1) * h + s1 * sqh * xi1[k])
+                x = x * math.exp((v1 / x - d1) * h + s1 * sqh * g1)
             if y > 0.0:
-                y = y * math.exp((v2 / y - d2) * h + s2 * sqh * xi2[k])
-            states[k + 1] = (x, y)
+                y = y * math.exp((v2 / y - d2) * h + s2 * sqh * g2)
+            xs.append(x)
+            ys.append(y)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 
+    states = np.column_stack([xs, ys])
     times = np.arange(n + 1) * h
     return SamplePath(times=times, states=states, scheme=scheme, noise=noise)
 
@@ -230,11 +232,10 @@ def comparison_bundle(p: ModelParams, init, noise: NoisePath,
     incs = zip((s1 * sqh * noise.xi1[:n]).tolist(),
                (s2 * sqh * noise.xi2[:n]).tolist())
 
-    brackets = np.empty((n + 1, 4))  # x_upper, y_upper, x_lower, y_lower
     xu = xl = x0
     yu = yl = y0
-    brackets[0] = (xu, yu, xl, yl)
-    for k, (e1, e2) in enumerate(incs, 1):
+    rows = [(xu, yu, xl, yl)]
+    for e1, e2 in incs:
         # x_lower reads the old y_upper, and y_upper the old x_upper
         if xl > 0.0:
             xl = xl * math.exp((1.0 - xl - a * yu / k1 - d1) * h + e1)
@@ -245,8 +246,9 @@ def comparison_bundle(p: ModelParams, init, noise: NoisePath,
             xu = xu * math.exp((xu * (1.0 - xu) / xu - d1) * h + e1)
         if yl > 0.0:
             yl = yl * math.exp((b * yl * (1.0 - yl / k2) / yl - d2) * h + e2)
-        brackets[k] = (xu, yu, xl, yl)
+        rows.append((xu, yu, xl, yl))
 
+    brackets = np.array(rows)  # x_upper, y_upper, x_lower, y_lower
     return ComparisonBundle(times=path.times, x=path.x, y=path.y,
                             x_upper=brackets[:, 0], y_upper=brackets[:, 1],
                             x_lower=brackets[:, 2], y_lower=brackets[:, 3])
@@ -332,9 +334,7 @@ def _lockstep(p: ModelParams, scheme: str, init, n_paths: int, seed0: int,
     return states()
 
 
-def _check_burn_in_and_bins(burn_in: float, bins: int) -> None:
-    if not burn_in >= 0:
-        raise ValueError("burn_in must be >= 0")
+def _check_bins(bins: int) -> None:
     if not bins >= 1:
         raise ValueError("bins must be >= 1")
 
@@ -363,7 +363,8 @@ def ensemble(p: ModelParams, init, scheme: str, n_paths: int, seed0: int,
     must lie in [0, t_max] and round to distinct grid steps.
     """
     states = _lockstep(p, scheme, init, n_paths, seed0, h, t_max)
-    _check_burn_in_and_bins(burn_in, bins)
+    _check_burn_in(burn_in)
+    _check_bins(bins)
     if burn_in > t_max:
         raise ValueError("burn_in must not exceed t_max")
     ck_times = np.asarray(checkpoints, dtype=float)
@@ -414,7 +415,8 @@ def stationary_histogram(p: ModelParams, scheme: str, seed: int,
     still runs but the report carries a warning flag.
     """
     n = _horizon(h, t_max)
-    _check_burn_in_and_bins(burn_in, bins)
+    _check_burn_in(burn_in)
+    _check_bins(bins)
     if burn_in >= t_max:
         raise ValueError("burn_in must be smaller than t_max")
     regime = stochastic_regime(p)

@@ -149,6 +149,12 @@ class TestOde:
         assert json.loads(reports["rk4"])["found"] is True
         assert reports["euler"] == reports["rk4"]
 
+    @pytest.mark.parametrize("burn_in", ["nan", "-5"])
+    def test_bad_burn_in_is_exit_1(self, capsys, burn_in):
+        code, out = run(capsys, ["ode", *THREE, "--h", "0.01", "--t-max", "10",
+                                 "--detect-cycle", "--burn-in", burn_in])
+        assert_one_error(code, out, "burn_in must be >= 0")
+
 
 class TestSde:
     def test_seed_required(self, capsys):
@@ -230,6 +236,7 @@ class TestSde:
     @pytest.mark.parametrize("flags, message", [
         (["--burn-in", "-5"], "burn_in must be >= 0"),
         (["--bins", "0"], "bins must be >= 1"),
+        (["--burn-in", "nan"], "burn_in must be >= 0"),
     ])
     def test_bad_burn_in_or_bins_is_exit_1(self, capsys, mode, flags, message):
         code, out = run(capsys, ["sde", mode, *STOCH, "--seed", "1",
@@ -260,6 +267,13 @@ class TestSde:
                                  *flags, "--seed", "1", "--t-max", "1"])
         assert_one_error(code, out, "--comparison runs LogEuler on independent "
                          "noise; drop --scheme milstein and --shared-noise")
+
+    @pytest.mark.parametrize("mode", [["ensemble"], ["stationary"],
+                                      ["hitting", "--target", "0,2,0,2"]])
+    def test_shared_noise_outside_path_is_exit_1(self, capsys, mode):
+        code, out = run(capsys, ["sde", mode[0], *STOCH, *mode[1:], *SDE,
+                                 "--shared-noise"])
+        assert_one_error(code, out, "--shared-noise applies to sde path only")
 
     def test_comparison_allows_explicit_log_euler(self, capsys):
         argv = ["sde", "path", *STOCH, "--comparison", "--seed", "1",
@@ -298,6 +312,17 @@ class TestSde:
                                  "--target", target])
         assert code == 1
         assert out.err == "error: --target needs x_lo,x_hi,y_lo,y_hi\n"
+
+    @pytest.mark.parametrize("target, shown", [
+        ("0,nan,0,1", "[0.0, nan] x [0.0, 1.0)"),
+        ("0.6,0.4,0,1", "[0.6, 0.4] x [0.0, 1.0)"),
+    ])
+    def test_hitting_empty_target(self, capsys, target, shown):
+        code, out = run(capsys, ["sde", "hitting", *STOCH, "--seed", "0",
+                                 "--paths", "4", "--t-cap", "2",
+                                 "--target", target])
+        assert_one_error(code, out, "region needs x_lo <= x_hi and "
+                         f"y_lo < y_hi, got {shown}")
 
 
 class TestScan:

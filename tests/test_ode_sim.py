@@ -196,6 +196,13 @@ class TestCycle:
             pass  # spiralled in before five section returns
 
 
+    @pytest.mark.parametrize("t_burn", [math.nan, -5.0])
+    def test_bad_burn_in_rejected(self, t_burn):
+        traj = integrate(STOCH_FIG, (0.5, 0.3), RK4, h=0.01, t_max=10)
+        with pytest.raises(ValueError, match="burn_in must be >= 0"):
+            detect_limit_cycle(STOCH_FIG, traj, t_burn=t_burn)
+
+
 class TestBounds:
     def test_constant_trajectory(self):
         traj = integrate(STOCH_FIG, (1.0, 0.0), RK4, h=0.01, t_max=100.0)

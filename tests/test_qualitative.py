@@ -49,6 +49,24 @@ class TestRegion:
         assert r.contains(x, y).tolist() == scalar
         assert scalar[-6:-2] == [True, True, False, False]
 
+    @pytest.mark.parametrize("bounds", [
+        (0.6, 0.4, 0.0, 1.0), (0.0, 1.0, 0.5, 0.5), (0.0, 1.0, 0.8, 0.2),
+        (np.nan, 1.0, 0.0, 1.0), (0.0, np.nan, 0.0, 1.0),
+        (0.0, 1.0, np.nan, 1.0), (0.0, 1.0, 0.0, np.nan),
+    ])
+    def test_empty_or_nan_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError, match="region needs x_lo <= x_hi "
+                                             "and y_lo < y_hi"):
+            Region(*bounds)
+
+    def test_single_column_allowed(self):
+        # x_hi is included, so x_lo == x_hi still holds points
+        assert Region(0.5, 0.5, 0.0, 1.0).contains(0.5, 0.5)
+
+    def test_invariant_region_is_never_empty(self, rng):
+        for _ in range(200):
+            invariant_region(random_params(rng))  # raises if empty
+
 
 class TestPersistence:
     def test_weak_predation_bound(self):

@@ -335,6 +335,7 @@ class TestStationary:
     @pytest.mark.parametrize("kw, match", [
         (dict(burn_in=-5.0), "burn_in must be >= 0"),
         (dict(bins=0), "bins must be >= 1"),
+        (dict(burn_in=float("nan")), "burn_in must be >= 0"),
     ])
     def test_bad_burn_in_or_bins_rejected(self, kw, match):
         args = dict(burn_in=2.0, t_max=10.0, bins=10, h=0.01) | kw
