@@ -81,15 +81,6 @@ def _dump(payload: dict) -> str:
     return json.dumps(_jsonable(payload), indent=2) + "\n"
 
 
-def _add_param_flags(parser: argparse.ArgumentParser) -> None:
-    g = parser.add_argument_group("model parameters")
-    for name in _MODEL_FIELDS:
-        g.add_argument(f"--{name}", type=float, default=None)
-    files = g.add_mutually_exclusive_group()
-    files.add_argument("--params", metavar="FILE", help="JSON file with dimensionless parameters")
-    files.add_argument("--raw", metavar="FILE", help="JSON file with dimensional parameters")
-
-
 def _build_params(args) -> ModelParams:
     d = {}
     if args.params:
@@ -110,7 +101,7 @@ def analysis_report(p: ModelParams, want_hopf: bool = False) -> dict:
     """Full equilibrium/certificate report as a JSON-ready dict."""
     trivial = eq.trivial_equilibria(p)
     count_report = eq.count_interior_equilibria(p)
-    interior = [eq.classify(p, e) for e in eq.find_interior_equilibria(p)]
+    interior = eq.find_interior_equilibria(p)
     try:
         idx = eq.index_sum_check(p, interior)
         index = {"total": idx.total, "expected": idx.expected,
@@ -197,12 +188,19 @@ def _histogram_json(counts, bins, overflow):
             "counts": counts, "overflow": overflow}
 
 
+# sde flags that only one mode reads
+_MODE_ONLY = {"comparison": "path", "shared_noise": "path",
+              "checkpoints": "ensemble", "target": "hitting"}
+
+
 def cmd_sde(args) -> int:
     p = _build_params(args)
     scheme = sde_sim.MILSTEIN if args.scheme == "milstein" else sde_sim.LOG_EULER
 
-    if args.shared_noise and args.mode != "path":
-        raise InvalidParams("--shared-noise applies to sde path only")
+    for dest, mode in _MODE_ONLY.items():
+        if getattr(args, dest) and args.mode != mode:
+            flag = dest.replace("_", "-")
+            raise InvalidParams(f"--{flag} applies to sde {mode} only")
     if args.mode == "path":
         if args.comparison and (scheme != sde_sim.LOG_EULER or args.shared_noise):
             raise InvalidParams("--comparison runs LogEuler on independent "
@@ -293,7 +291,7 @@ def cmd_scan(args) -> int:
         d[args.name] = float(v)
         p = ModelParams(**d)
         count = eq.count_interior_equilibria(p)
-        interior = [eq.classify(p, e) for e in eq.find_interior_equilibria(p)]
+        interior = eq.find_interior_equilibria(p)
         row = [args.name, f"{v:.17g}", str(count.n_predicted)]
         for i in range(3):
             if i < len(interior):
@@ -325,39 +323,43 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pa = sub.add_parser("analyze", help="equilibria, taxonomy and certificates")
-    _add_param_flags(pa)
+    common = argparse.ArgumentParser(add_help=False)
+    g = common.add_argument_group("model parameters")
+    for name in _MODEL_FIELDS:
+        g.add_argument(f"--{name}", type=float, default=None)
+    files = g.add_mutually_exclusive_group()
+    files.add_argument("--params", metavar="FILE", help="JSON file with dimensionless parameters")
+    files.add_argument("--raw", metavar="FILE", help="JSON file with dimensional parameters")
+    common.add_argument("--out", default="-")
+    run = argparse.ArgumentParser(add_help=False)  # ode and sde
+    run.add_argument("--t-max", type=float, default=100.0)
+    run.add_argument("--x0", type=float, default=0.5)
+    run.add_argument("--y0", type=float, default=0.5)
+    run.add_argument("--burn-in", type=float, default=None)
+
+    pa = sub.add_parser("analyze", parents=[common],
+                        help="equilibria, taxonomy and certificates")
     pa.add_argument("--hopf", action="store_true",
                     help="compute critical b and the Lyapunov coefficient")
-    pa.add_argument("--out", default="-")
     pa.set_defaults(func=cmd_analyze)
 
-    po = sub.add_parser("ode", help="deterministic trajectory CSV")
-    _add_param_flags(po)
+    po = sub.add_parser("ode", parents=[common, run],
+                        help="deterministic trajectory CSV")
     po.add_argument("--scheme", choices=("euler", "rk4"), default="rk4")
     po.add_argument("--h", type=float, default=1e-3)
-    po.add_argument("--t-max", type=float, default=100.0)
-    po.add_argument("--x0", type=float, default=0.5)
-    po.add_argument("--y0", type=float, default=0.5)
-    po.add_argument("--burn-in", type=float, default=None)
     po.add_argument("--detect-cycle", action="store_true")
-    po.add_argument("--out", default="-")
     po.set_defaults(func=cmd_ode)
 
-    ps = sub.add_parser("sde", help="stochastic paths and statistics")
+    ps = sub.add_parser("sde", parents=[common, run],
+                        help="stochastic paths and statistics")
     ps.add_argument("mode", choices=("path", "ensemble", "stationary", "hitting"))
-    _add_param_flags(ps)
     ps.add_argument("--scheme", choices=("milstein", "log-euler"),
                     default="log-euler")
     ps.add_argument("--h", type=float, default=1e-2)
-    ps.add_argument("--t-max", type=float, default=100.0)
-    ps.add_argument("--x0", type=float, default=0.5)
-    ps.add_argument("--y0", type=float, default=0.5)
     ps.add_argument("--seed", type=int, required=True,
                     help="explicit seed; stochastic runs have no implicit entropy")
     ps.add_argument("--paths", type=int, default=100)
     ps.add_argument("--bins", type=int, default=50)
-    ps.add_argument("--burn-in", type=float, default=None)
     ps.add_argument("--checkpoints", default=None,
                     help="comma-separated times (ensemble mode)")
     ps.add_argument("--comparison", action="store_true",
@@ -367,16 +369,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--target", default="",
                     help="hitting mode: rectangle x_lo,x_hi,y_lo,y_hi")
     ps.add_argument("--t-cap", type=float, default=500.0)
-    ps.add_argument("--out", default="-")
     ps.set_defaults(func=cmd_sde)
 
-    pc = sub.add_parser("scan", help="one-parameter sweep CSV")
-    _add_param_flags(pc)
+    pc = sub.add_parser("scan", parents=[common], help="one-parameter sweep CSV")
     pc.add_argument("--scan", dest="name", required=True, choices=_MODEL_FIELDS)
     pc.add_argument("--from", dest="lo", type=float, required=True)
     pc.add_argument("--to", dest="hi", type=float, required=True)
     pc.add_argument("--steps", type=int, required=True)
-    pc.add_argument("--out", default="-")
     pc.set_defaults(func=cmd_scan)
 
     return parser

@@ -207,7 +207,7 @@ def find_interior_equilibria(p: ModelParams) -> list[Equilibrium]:
     Real roots of R in (0, 1-m) are isolated using the critical points of R',
     solved by Newton safeguarded with bisection; a root sitting exactly at a
     critical point is reported once with multiplicity 2.  Results are sorted
-    by x and carry s, p and the discriminant (taxonomy is left to classify).
+    by x and already passed through classify.
     """
     c = cubic_coefficients(p)
     scale = max(1.0, abs(c.alpha2), abs(c.alpha1), abs(c.alpha0))
@@ -260,10 +260,7 @@ def find_interior_equilibria(p: ModelParams) -> list[Equilibrium]:
             continue
         if abs(c.value(X)) > max(res_tol, 1e-10):
             raise NumericalFailure(f"residual too large at X={X}")
-        x, y = p.m + X, p.k2 + X
-        s, det = _trace_det(p, x, y)
-        out.append(Equilibrium(x=x, y=y, s=s, p_det=det, delta_c=s * s - 4.0 * det,
-                               multiplicity=mult))
+        out.append(classify(p, Equilibrium(p.m + X, p.k2 + X, multiplicity=mult)))
     return out
 
 
@@ -303,16 +300,22 @@ def trivial_equilibria(p: ModelParams) -> list[Equilibrium]:
 def classify(p: ModelParams, e: Equilibrium) -> Equilibrium:
     """Fill taxonomy, index and hyperbolicity of an interior equilibrium.
 
-    Hyperbolic cases follow the sign table on (s, p, s^2-4p) with absolute
-    tolerance HYPERBOLIC_EPS.  When p vanishes the semi-hyperbolic decision
-    quantity is z^3 - a*k1*y + a*k1*z (z = k1 + x - m): nonzero gives a
-    saddle-node, zero an unstable node (k1 > k2) or saddle (k1 < k2).  When
-    s and p both vanish the nilpotent quantity 1 - a*y*k1/z^3 + a*k1/z^2
-    separates a cusp from a saddle.
+    The point must zero each field component to 1e-9 of its largest term:
+    x, x^2 and the Holling term at its saturation a*y for v1 (near x = m a
+    rounded x moves that term by up to a*y/k1 per unit), b*y and
+    b*y^2/(k2 + x - m) for v2.  Hyperbolic cases follow the sign table on
+    (s, p, s^2-4p) with absolute tolerance HYPERBOLIC_EPS.  When p vanishes
+    the semi-hyperbolic decision quantity is z^3 - a*k1*y + a*k1*z
+    (z = k1 + x - m): nonzero gives a saddle-node, zero an unstable node
+    (k1 > k2) or saddle (k1 < k2).  When s and p both vanish the nilpotent
+    quantity 1 - a*y*k1/z^3 + a*k1/z^2 separates a cusp from a saddle.
     """
     v1, v2 = vector_field(p, (e.x, e.y))
-    if math.hypot(v1, v2) > 1e-9:
-        raise NotAnEquilibrium(f"field residual {math.hypot(v1, v2):.3g} at ({e.x}, {e.y})")
+    size1 = max(abs(e.x), e.x * e.x, p.a * abs(e.y))
+    size2 = p.b * abs(e.y) * max(1.0, abs(e.y) / (p.k2 + max(0.0, e.x - p.m)))
+    if not (abs(v1) <= 1e-9 * size1 and abs(v2) <= 1e-9 * size2):
+        raise NotAnEquilibrium(
+            f"field residual ({v1:.3g}, {v2:.3g}) at ({e.x}, {e.y})")
 
     s, det = _trace_det(p, e.x, e.y)
     delta = s * s - 4.0 * det
@@ -358,10 +361,11 @@ def classify(p: ModelParams, e: Equilibrium) -> Equilibrium:
 def index_sum_check(p: ModelParams, eqs: list[Equilibrium]) -> IndexReport:
     """Check the Poincare index sum of classified interior equilibria.
 
-    The inward-pointing field on the attracting region forces the sum to 1
-    when m > 0, and likewise when m = 0 with a*k2 < k1; for m = 0 with
-    a*k2 > k1 the trivial node E2 absorbs one index and the interior sum
-    must be 0.  The boundary a*k2 = k1 has no predicted sum.
+    The expected sum follows from the type of E2 = (0, k2), as
+    trivial_equilibria classifies it: with E2 a saddle the inward-pointing
+    field on the attracting region forces the sum to 1; a stable node E2
+    absorbs one index and the interior sum must be 0; a semi-hyperbolic E2
+    predicts no sum.
     """
     for e in eqs:
         if e.taxonomy is None:
@@ -369,12 +373,7 @@ def index_sum_check(p: ModelParams, eqs: list[Equilibrium]) -> IndexReport:
         if not e.hyperbolic:
             raise NonHyperbolicPresent(f"non-hyperbolic equilibrium {e.taxonomy}")
     total = sum(e.index for e in eqs)
-    if p.m > 0 or p.a * p.k2 < p.k1:
-        expected = 1
-    elif p.a * p.k2 > p.k1:
-        expected = 0
-    else:
-        expected = None
+    expected = {SADDLE: 1, STABLE_NODE: 0}.get(trivial_equilibria(p)[2].taxonomy)
     return IndexReport(total=total, expected=expected,
                        passed=(expected is None or total == expected))
 

@@ -74,6 +74,22 @@ def _clamp(v: float, k: int) -> float:
                        step_index=k)
 
 
+def _clamp_rows(x: np.ndarray, y: np.ndarray, k: int) -> None:
+    """integrate's rule for batch states after step k, in place: the first
+    system integrate would stop on raises NonFinite or StepTooLarge, else
+    undershoots within round-off become 0.0 (a -0.0 stays)."""
+    finite = np.isfinite(x) & np.isfinite(y)
+    bad = ~finite | (x < -_UNDERSHOOT) | (y < -_UNDERSHOOT)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not finite[i]:
+            raise NonFinite(f"non-finite state at step {k} in system {i}")
+        raise StepTooLarge(f"state left the closed quadrant at step {k} "
+                           f"in system {i}", step_index=k)
+    x[x < 0.0] = 0.0
+    y[y < 0.0] = 0.0
+
+
 def integrate(p: ModelParams, init, scheme: str = RK4, h: float = 1e-3,
               t_max: float = 100.0) -> Trajectory:
     """Integrate from init over [0, t_max] with fixed step h.
@@ -134,11 +150,11 @@ def integrate_batch(a, b, k1, k2, m, init, h: float, n_steps: int,
 
     All parameter arguments broadcast against init[:, 0].  Only running
     min/max over steps >= tail_start are kept (plus the final state), so
-    memory stays flat no matter how long the run is.  As in integrate, a
-    state below -1e-12 at any step raises StepTooLarge; the check runs on
-    a running minimum after the last step, so it reports no step index.
-    Inputs are checked before the first step, with the errors integrate
-    and ModelParams raise.
+    memory stays flat no matter how long the run is.  Each step applies
+    integrate's domain rule to every system (see _clamp_rows); a +inf that
+    never turns negative or NaN is caught after the last step.  Inputs are
+    checked before the first step, with the errors integrate and
+    ModelParams raise.
     """
     _check_h(h)
     if not 0 <= tail_start <= n_steps:
@@ -153,7 +169,6 @@ def integrate_batch(a, b, k1, k2, m, init, h: float, n_steps: int,
     max_x = np.full_like(x, -np.inf)
     min_y = np.full_like(x, np.inf)
     max_y = np.full_like(x, -np.inf)
-    floor = np.full_like(x, np.inf)  # np.fmin skips NaN: a blow-up keeps the dip
     if tail_start == 0:
         np.minimum(min_x, x, out=min_x); np.maximum(max_x, x, out=max_x)
         np.minimum(min_y, y, out=min_y); np.maximum(max_y, y, out=max_y)
@@ -164,14 +179,11 @@ def integrate_batch(a, b, k1, k2, m, init, h: float, n_steps: int,
         a4, b4 = _field_batch(a, b, k1, k2, m, x + h * a3, y + h * b3)
         x = x + h6 * (a1 + 2.0 * (a2 + a3) + a4)
         y = y + h6 * (b1 + 2.0 * (b2 + b3) + b4)
-        np.fmin(floor, x, out=floor); np.fmin(floor, y, out=floor)
+        if not (x.min() >= 0.0 and y.min() >= 0.0):  # also catches NaN
+            _clamp_rows(x, y, k + 1)
         if k + 1 >= tail_start:
             np.minimum(min_x, x, out=min_x); np.maximum(max_x, x, out=max_x)
             np.minimum(min_y, y, out=min_y); np.maximum(max_y, y, out=max_y)
-    bad = floor < -_UNDERSHOOT
-    if bad.any():
-        raise StepTooLarge(
-            f"state left the closed quadrant in system {int(np.argmax(bad))}")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise NonFinite("non-finite state in batch integration")
     final = np.column_stack([x, y])

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import PositivityViolation
 from .model import (ModelParams, _check_burn_in, _check_h, _check_state,
                     _field_batch, _field_scalar, _horizon)
-from .ode_sim import _write_rows
+from .ode_sim import Trajectory, _write_rows
 from .qualitative import STATIONARY, Region, stochastic_regime
 
 MILSTEIN = "Milstein"
@@ -49,20 +49,7 @@ class NoisePath:
         return len(self.xi1)
 
 
-@dataclass(frozen=True)
-class SamplePath:
-    times: np.ndarray
-    states: np.ndarray
-    scheme: str
-    noise: NoisePath
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.states[:, 0]
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.states[:, 1]
+SamplePath = Trajectory
 
 
 @dataclass(frozen=True)
@@ -85,14 +72,12 @@ class EnsembleStats:
     extinction_fraction_x: float
     extinction_fraction_y: float
     hist_counts: np.ndarray
-    hist_edges: np.ndarray
     hist_overflow: int
 
 
 @dataclass(frozen=True)
 class StationaryReport:
     counts: np.ndarray
-    edges: np.ndarray
     overflow: int
     l1_half_vs_half: float
     l1_cross_seed: float
@@ -125,8 +110,8 @@ def make_noise(seed: int, h: float, n_steps: int) -> NoisePath:
 
 def simulate_path(p: ModelParams, init, scheme: str, noise: NoisePath,
                   t_max: float | None = None,
-                  shared_noise: bool = False) -> SamplePath:
-    """One sample path on the noise grid.
+                  shared_noise: bool = False) -> Trajectory:
+    """One sample path on the noise grid, a Trajectory with h = noise.h.
 
     shared_noise drives the prey diffusion with the predator's increments
     (a published variant of the recursion); the default keeps the two
@@ -175,7 +160,7 @@ def simulate_path(p: ModelParams, init, scheme: str, noise: NoisePath,
 
     states = np.column_stack([xs, ys])
     times = np.arange(n + 1) * h
-    return SamplePath(times=times, states=states, scheme=scheme, noise=noise)
+    return Trajectory(times=times, states=states, scheme=scheme, h=h)
 
 
 def explicit_upper_prey(sigma1: float, x0: float, noise: NoisePath,
@@ -392,8 +377,7 @@ def ensemble(p: ModelParams, init, scheme: str, n_paths: int, seed0: int,
         n_paths=n_paths, checkpoint_times=ck_times, mean=mean, variance=var,
         extinction_fraction_x=float((x < EXTINCTION_THRESHOLD).mean()),
         extinction_fraction_y=float((y < EXTINCTION_THRESHOLD).mean()),
-        hist_counts=counts, hist_edges=np.linspace(0.0, HIST_RANGE, bins + 1),
-        hist_overflow=overflow)
+        hist_counts=counts, hist_overflow=overflow)
 
 
 def _l1(c1, c2) -> float:
@@ -435,8 +419,7 @@ def stationary_histogram(p: ModelParams, scheme: str, seed: int,
     tail2 = tail_states(seed + 1 if seed2 is None else seed2)
     c_other, _ = _bin2d(*tail2.T, bins)
 
-    edges = np.linspace(0.0, HIST_RANGE, bins + 1)
-    return StationaryReport(counts=counts, edges=edges, overflow=overflow,
+    return StationaryReport(counts=counts, overflow=overflow,
                             l1_half_vs_half=_l1(c_a, c_b),
                             l1_cross_seed=_l1(counts, c_other),
                             regime=regime.clause, regime_warning=warning)

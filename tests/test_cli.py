@@ -5,7 +5,7 @@ import jsonschema
 import pytest
 
 from lglab import ode_sim
-from lglab.cli import main
+from lglab.cli import _build_parser, main
 
 THREE = ["--a", "0.5", "--b", "0.1", "--k1", "0.08", "--k2", "0.2",
          "--m", "0.0025"]
@@ -97,6 +97,16 @@ class TestAnalyze:
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--a", "not-a-number"])
         assert exc.value.code == 1
+
+
+    @pytest.mark.parametrize("k2", ["1e9", "1e15"])
+    def test_large_k2(self, capsys, k2):
+        # the equilibrium's rounded coordinates leave a field residual that
+        # grows with k2; classify must still accept the point
+        code, out = run(capsys, ["analyze", "--a", "0.4", "--b", "0.1",
+                                 "--k1", "0.08", "--k2", k2, "--m", "0.5"])
+        assert code == 0, out.err
+        assert len(json.loads(out.out)["interior_equilibria"]) == 1
 
 
 class TestOde:
@@ -275,6 +285,19 @@ class TestSde:
                                  "--shared-noise"])
         assert_one_error(code, out, "--shared-noise applies to sde path only")
 
+    @pytest.mark.parametrize("flags, own, mode", [
+        (flags, own, mode)
+        for flags, own in ((["--comparison"], "path"),
+                           (["--checkpoints", "0.5"], "ensemble"),
+                           (["--target", "0,2,0,2"], "hitting"))
+        for mode in ("path", "ensemble", "stationary", "hitting")
+        if mode != own])
+    def test_mode_only_flag_outside_its_mode_is_exit_1(self, capsys, flags,
+                                                       own, mode):
+        target = ["--target", "0,2,0,2"] if mode == "hitting" else []
+        code, out = run(capsys, ["sde", mode, *STOCH, *SDE, *target, *flags])
+        assert_one_error(code, out, f"{flags[0]} applies to sde {own} only")
+
     def test_comparison_allows_explicit_log_euler(self, capsys):
         argv = ["sde", "path", *STOCH, "--comparison", "--seed", "1",
                 "--t-max", "1"]
@@ -323,6 +346,30 @@ class TestSde:
                                  "--target", target])
         assert_one_error(code, out, "region needs x_lo <= x_hi and "
                          f"y_lo < y_hi, got {shown}")
+
+
+class TestParser:
+    # every flag's dest and default, each subcommand parsing a fixed argv
+    MODEL = dict(a=0.5, b=0.1, k1=0.08, k2=0.2, m=None, sigma1=None,
+                 sigma2=None, params=None, raw=None, out="-")
+    RUN = dict(t_max=100.0, x0=0.5, y0=0.5, burn_in=None)
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["analyze"], dict(hopf=False)),
+        (["ode"], dict(RUN, scheme="rk4", h=1e-3, detect_cycle=False)),
+        (["sde", "path", "--seed", "1"],
+         dict(RUN, mode="path", scheme="log-euler", h=1e-2, seed=1,
+              paths=100, bins=50, checkpoints=None, comparison=False,
+              shared_noise=False, target="", t_cap=500.0)),
+        (["scan", "--scan", "b", "--from", "0.1", "--to", "0.5",
+          "--steps", "3"], dict(name="b", lo=0.1, hi=0.5, steps=3)),
+    ])
+    def test_dests_and_defaults(self, argv, expected):
+        args = vars(_build_parser().parse_args(
+            [argv[0], "--a", "0.5", "--b", "0.1", "--k1", "0.08",
+             "--k2", "0.2", *argv[1:]]))
+        assert args.pop("func").__name__ == f"cmd_{argv[0]}"
+        assert args == dict(self.MODEL, command=argv[0], **expected)
 
 
 class TestScan:

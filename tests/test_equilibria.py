@@ -116,6 +116,13 @@ class TestFind:
             eqs = find_interior_equilibria(p)
             assert len(eqs) == count_interior_equilibria(p).n_predicted
 
+    def test_returns_classified(self, rng):
+        for _ in range(100):
+            p = random_params(rng)
+            for e in find_interior_equilibria(p):
+                assert e.taxonomy is not None
+                assert classify(p, e) == e
+
 
 class TestClassify:
     def test_rejects_non_equilibrium(self):

@@ -8,6 +8,7 @@ from lglab import (
     Inconclusive,
     InvalidParams,
     ModelParams,
+    NonFinite,
     StepTooLarge,
     TooShort,
     detect_limit_cycle,
@@ -112,6 +113,44 @@ class TestIntegrate:
         for i in range(2):
             traj = integrate(p, tuple(init[i]), RK4, h=1e-2, t_max=5.0)
             assert np.allclose(final[i], traj.states[-1], rtol=0, atol=1e-13)
+
+    def test_batch_rows_equal_integrate(self, rng):
+        # random rows, the round-off-undershoot start of the scalar oracle
+        # (clamped to 0.0 at step 1) and a -0.0 that integrate keeps
+        rows = [random_params(rng) for _ in range(6)]
+        rows += [ModelParams(a=0.4, b=0.1, k1=0.08, k2=0.2),
+                 ModelParams(a=0.4, b=0.1, k1=0.08, k2=0.2, m=0.1)]
+        init = np.array([*rng.uniform(0.0, 1.0, (6, 2)),
+                         [4.205609662906266, 0.3], [-0.0, 0.3]])
+        a, b, k1, k2, m = (np.array([getattr(p, n) for p in rows])
+                           for n in ("a", "b", "k1", "k2", "m"))
+        final, bounds = integrate_batch(a, b, k1, k2, m, init, 0.5, 10,
+                                        tail_start=4)
+        for i, p in enumerate(rows):
+            traj = integrate(p, tuple(init[i]), RK4, h=0.5, t_max=5.0)
+            tail = traj.states[4:]
+            ref = [traj.states[-1], tail[:, 0].min(), tail[:, 0].max(),
+                   tail[:, 1].min(), tail[:, 1].max()]
+            got = [final[i], *(v[i] for v in bounds)]
+            assert [np.asarray(v).tobytes() for v in got] == [
+                np.asarray(v).tobytes() for v in ref], i
+
+    @pytest.mark.parametrize("p, state, h, error, k", [
+        (ModelParams(a=5, b=3, k1=0.05, k2=0.1), (0.5, 0.5), 0.5,
+         StepTooLarge, 1),
+        (ModelParams(a=6.4, b=0.8, k1=2.3, k2=7.4), (1.68, 1.49), 0.2,
+         StepTooLarge, 10),
+        (STOCH_FIG, (1e200, 0.5), 1.0, NonFinite, 1),
+    ])
+    def test_batch_stops_where_integrate_does(self, p, state, h, error, k):
+        with pytest.raises(error, match=f"at step {k}$"):
+            integrate(p, state, RK4, h=h, t_max=1000 * h)
+        init = np.array([[0.0, 0.0], state])  # the origin is a fixed point
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(error, match=f"at step {k} in system 1") as got:
+                integrate_batch(p.a, p.b, p.k1, p.k2, p.m, init, h, 1000)
+        if error is StepTooLarge:
+            assert got.value.step_index == k
 
 
 class TestBatchValidation:
