@@ -159,9 +159,11 @@ def cmd_analyze(args) -> int:
 def cmd_ode(args) -> int:
     p = _build_params(args)
     scheme = ode_sim.EULER if args.scheme == "euler" else ode_sim.RK4
-    burn = args.burn_in if args.burn_in is not None else 0.5 * args.t_max
     if args.detect_cycle:
+        burn = args.burn_in if args.burn_in is not None else 0.5 * args.t_max
         _check_burn_in(burn)  # before the CSV is written
+    elif args.burn_in is not None:
+        raise InvalidParams("--burn-in applies to ode --detect-cycle only")
     traj = ode_sim.integrate(p, (args.x0, args.y0), scheme=scheme,
                              h=args.h, t_max=args.t_max)
     buf = io.StringIO()
@@ -188,19 +190,24 @@ def _histogram_json(counts, bins, overflow):
             "counts": counts, "overflow": overflow}
 
 
-# sde flags that only one mode reads
-_MODE_ONLY = {"comparison": "path", "shared_noise": "path",
-              "checkpoints": "ensemble", "target": "hitting"}
+# sde flags that only some modes read; each defaults to None, so a flag
+# is given when it is not None (`--bins 0` included)
+_MODE_ONLY = {"comparison": ("path",), "shared_noise": ("path",),
+              "checkpoints": ("ensemble",), "target": ("hitting",),
+              "bins": ("ensemble", "stationary"),
+              "burn_in": ("ensemble", "stationary"), "t_cap": ("hitting",)}
 
 
 def cmd_sde(args) -> int:
     p = _build_params(args)
     scheme = sde_sim.MILSTEIN if args.scheme == "milstein" else sde_sim.LOG_EULER
 
-    for dest, mode in _MODE_ONLY.items():
-        if getattr(args, dest) and args.mode != mode:
+    for dest, modes in _MODE_ONLY.items():
+        if getattr(args, dest) is not None and args.mode not in modes:
             flag = dest.replace("_", "-")
-            raise InvalidParams(f"--{flag} applies to sde {mode} only")
+            raise InvalidParams(
+                f"--{flag} applies to sde {' and '.join(modes)} only")
+    bins = args.bins if args.bins is not None else 50  # ensemble, stationary
     if args.mode == "path":
         if args.comparison and (scheme != sde_sim.LOG_EULER or args.shared_noise):
             raise InvalidParams("--comparison runs LogEuler on independent "
@@ -211,7 +218,7 @@ def cmd_sde(args) -> int:
             path = sde_sim.comparison_bundle(p, (args.x0, args.y0), noise)
         else:
             path = sde_sim.simulate_path(p, (args.x0, args.y0), scheme, noise,
-                                         shared_noise=args.shared_noise)
+                                         shared_noise=bool(args.shared_noise))
         buf = io.StringIO()
         sde_sim.write_path_csv(path, buf)
         _atomic_write(args.out, buf.getvalue())
@@ -223,7 +230,7 @@ def cmd_sde(args) -> int:
         stats = sde_sim.ensemble(p, (args.x0, args.y0), scheme, args.paths,
                                  args.seed, args.t_max, checkpoints,
                                  h=args.h, burn_in=args.burn_in or 0.0,
-                                 bins=args.bins)
+                                 bins=bins)
         payload = {
             "schema": "lglab/ensemble", "schema_version": SCHEMA_VERSION,
             "n_paths": stats.n_paths,
@@ -233,7 +240,7 @@ def cmd_sde(args) -> int:
             ],
             "extinction": {"x": stats.extinction_fraction_x,
                            "y": stats.extinction_fraction_y},
-            "histogram": _histogram_json(stats.hist_counts, args.bins,
+            "histogram": _histogram_json(stats.hist_counts, bins,
                                          stats.hist_overflow),
         }
         _atomic_write(args.out, _dump(payload))
@@ -243,30 +250,31 @@ def cmd_sde(args) -> int:
         rep = sde_sim.stationary_histogram(
             p, scheme, args.seed,
             args.burn_in if args.burn_in is not None else 100.0, args.t_max,
-            bins=args.bins, h=args.h, init=(args.x0, args.y0))
+            bins=bins, h=args.h, init=(args.x0, args.y0))
         payload = {
             "schema": "lglab/stationary", "schema_version": SCHEMA_VERSION,
             "regime": rep.regime, "regime_warning": rep.regime_warning,
             "diagnostics": {"l1_half_vs_half": rep.l1_half_vs_half,
                             "l1_cross_seed": rep.l1_cross_seed},
-            "histogram": _histogram_json(rep.counts, args.bins, rep.overflow),
+            "histogram": _histogram_json(rep.counts, bins, rep.overflow),
         }
         _atomic_write(args.out, _dump(payload))
         return 0
 
     # hitting
     try:
-        x_lo, x_hi, y_lo, y_hi = map(float, args.target.split(","))
+        x_lo, x_hi, y_lo, y_hi = map(float, (args.target or "").split(","))
     except ValueError:
         raise InvalidParams("--target needs x_lo,x_hi,y_lo,y_hi") from None
     target = qualitative.Region(x_lo, x_hi, y_lo, y_hi)
+    t_cap = args.t_cap if args.t_cap is not None else 500.0
     rep = sde_sim.hitting_time(p, scheme, (args.x0, args.y0), target,
-                               args.paths, args.seed, args.t_cap, h=args.h)
+                               args.paths, args.seed, t_cap, h=args.h)
     payload = {
         "schema": "lglab/hitting", "schema_version": SCHEMA_VERSION,
         "mean": rep.mean, "median": rep.median,
         "fraction_censored": rep.fraction_censored,
-        "n_paths": args.paths, "t_cap": args.t_cap,
+        "n_paths": args.paths, "t_cap": t_cap,
     }
     _atomic_write(args.out, _dump(payload))
     return 0
@@ -359,16 +367,18 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--seed", type=int, required=True,
                     help="explicit seed; stochastic runs have no implicit entropy")
     ps.add_argument("--paths", type=int, default=100)
-    ps.add_argument("--bins", type=int, default=50)
+    ps.add_argument("--bins", type=int, default=None,
+                    help="ensemble and stationary modes (default 50)")
     ps.add_argument("--checkpoints", default=None,
                     help="comma-separated times (ensemble mode)")
-    ps.add_argument("--comparison", action="store_true",
+    ps.add_argument("--comparison", action="store_true", default=None,
                     help="path mode: include bracketing-process columns")
-    ps.add_argument("--shared-noise", action="store_true",
+    ps.add_argument("--shared-noise", action="store_true", default=None,
                     help="drive the prey diffusion with the predator increments")
-    ps.add_argument("--target", default="",
+    ps.add_argument("--target", default=None,
                     help="hitting mode: rectangle x_lo,x_hi,y_lo,y_hi")
-    ps.add_argument("--t-cap", type=float, default=500.0)
+    ps.add_argument("--t-cap", type=float, default=None,
+                    help="hitting mode (default 500)")
     ps.set_defaults(func=cmd_sde)
 
     pc = sub.add_parser("scan", parents=[common], help="one-parameter sweep CSV")

@@ -243,17 +243,27 @@ def _lockstep(p: ModelParams, scheme: str, init, n_paths: int, seed0: int,
               h: float, t_end: float):
     """Paths seeded seed0 .. seed0 + n_paths - 1, advanced in lockstep.
 
-    Validates the run up front, then returns an iterator of (step, x, y)
-    for step 0 .. round(t_end / h), where x[i], y[i] is the state of path
-    i.  Path i draws from the same generators as simulate_path with seed
-    seed0 + i.  The state is one (2, n_paths) array, row 0 prey and row 1
-    predator, so each operation of an update is one ufunc call for both
-    species; x and y are its rows, and every step writes a fresh array, so
-    a consumer may keep what it was yielded.  Noise is drawn and scaled
-    _CHUNK steps at a time into buffers allocated once, when the consumer
-    asks for the first step of a chunk: memory is bounded by the chunk,
-    not the horizon, and a consumer that stops early draws no further
-    chunk.
+    Validates the run up front, then returns an iterator of blocks
+    (first, z) covering steps 0 .. round(t_end / h) in order: z is a
+    (span, 2, n_paths) array and z[j, 0, i], z[j, 1, i] are the prey and
+    predator of path i at step first + j.  Step 0 is a block of its own,
+    then each block is one noise chunk.  Path i draws from the same
+    generators as simulate_path with seed seed0 + i.  Each operation of an
+    update is one ufunc call for both species.
+
+    Noise is drawn and scaled _CHUNK steps at a time into buffers
+    allocated once, when the consumer asks for the block of a chunk:
+    memory is bounded by the chunk, not the horizon, and a consumer that
+    stops early draws no further chunk.  Step j of a chunk writes its new
+    state over row j of the increments, which it has just used, so a
+    block is a view of the noise buffer and is valid only until the
+    consumer asks for the next one; the state carried into the next chunk
+    is copied out once per chunk, before the buffer is refilled.
+
+    Milstein raises PositivityViolation naming the first path whose
+    positive component steps to <= 0.  The states before that step are
+    yielded first, as a shorter block, and the error comes on the next
+    pull, so a consumer that stops at an earlier step never sees it.
     """
     x0, y0 = float(init[0]), float(init[1])
     if n_paths < 1:
@@ -275,9 +285,13 @@ def _lockstep(p: ModelParams, scheme: str, init, n_paths: int, seed0: int,
         noise = np.empty((chunk, 2, n_paths))   # scaled increments by step
         v = np.empty((2, n_paths))
         work = np.empty((2, n_paths))
-        z = np.array([[x0], [y0]]).repeat(n_paths, axis=1)
-        yield 0, z[0], z[1]
+        carry = np.array([[x0], [y0]]).repeat(n_paths, axis=1)
+        yield 0, carry[None]
+        z = carry
         for start in range(0, n, _CHUNK):
+            if start:  # the last state leaves the buffer before the refill
+                np.copyto(carry, z)
+                z = carry
             span = min(_CHUNK, n - start)
             for c in (0, 1):
                 for row, g in zip(raw, gens[c]):
@@ -291,17 +305,19 @@ def _lockstep(p: ModelParams, scheme: str, init, n_paths: int, seed0: int,
                     np.multiply(tmp, 0.5, out=tmp)
                     np.subtract(tmp, d[c, 0] * h, out=tmp)
                     np.add(e, tmp, out=e)
+            lost = None
             for j in range(span):
+                zn = noise[j]  # this step's increments, then its state
                 _field_batch(a, b, k1, k2, m, z[0], z[1], out=v, work=work)
                 if scheme == MILSTEIN:
-                    zn = np.multiply(z, noise[j])
+                    np.multiply(z, zn, out=zn)
                     np.add(zn, np.multiply(v, h, out=v), out=zn)
                     np.add(z, zn, out=zn)
                     if zn.min() <= 0.0:
                         bad = ((zn <= 0.0) & (z > 0.0)).any(axis=0)
                         if bad.any():
-                            raise PositivityViolation(
-                                f"positivity lost on path {int(np.argmax(bad))}")
+                            span, lost = j, int(np.argmax(bad))
+                            break
                 else:
                     zero = None if z.all() else z == 0.0
                     # the drift vanishes on an axis, so 0/1 stands in for 0/0
@@ -309,12 +325,15 @@ def _lockstep(p: ModelParams, scheme: str, init, n_paths: int, seed0: int,
                               out=v)
                     np.subtract(v, d, out=v)
                     np.multiply(v, h, out=v)
-                    np.add(v, noise[j], out=v)
-                    zn = np.multiply(np.exp(v, out=v), z)
+                    np.add(v, zn, out=v)
+                    np.multiply(np.exp(v, out=v), z, out=zn)
                     if zero is not None:
                         zn[zero] = 0.0
                 z = zn
-                yield start + j + 1, z[0], z[1]
+            if span:
+                yield start + 1, noise[:span]
+            if lost is not None:
+                raise PositivityViolation(f"positivity lost on path {lost}")
 
     return states()
 
@@ -352,6 +371,8 @@ def ensemble(p: ModelParams, init, scheme: str, n_paths: int, seed0: int,
     _check_bins(bins)
     if burn_in > t_max:
         raise ValueError("burn_in must not exceed t_max")
+    if not hist_thin >= 1:
+        raise ValueError("hist_thin must be >= 1")
     ck_times = np.asarray(checkpoints, dtype=float)
     if not ((ck_times >= 0.0) & (ck_times <= t_max)).all():
         raise ValueError("checkpoints must lie in [0, t_max]")
@@ -364,19 +385,27 @@ def ensemble(p: ModelParams, init, scheme: str, n_paths: int, seed0: int,
     var = np.zeros((len(ck_times), 2))
     counts = np.zeros((bins, bins), dtype=np.int64)
     overflow = 0
-    for step, x, y in states:
-        i = ck_steps.get(step)
-        if i is not None:
-            mean[i] = x.mean(), y.mean()
-            var[i] = x.var(), y.var()
-        if step >= burn_step and step % hist_thin == 0:
-            c, o = _bin2d(x, y, bins)
+    for first, z in states:
+        end = first + len(z)
+        for step, i in ck_steps.items():
+            if first <= step < end:
+                x, y = z[step - first]
+                mean[i] = x.mean(), y.mean()
+                var[i] = x.var(), y.var()
+        # the block's rows at steps >= burn_step that are multiples of
+        # hist_thin, binned at once
+        lo = -(-max(first, burn_step) // hist_thin) * hist_thin
+        if lo < end:
+            rows = z[lo - first::hist_thin]
+            c, o = _bin2d(rows[:, 0], rows[:, 1], bins)
             counts += c
             overflow += o
+        # read while the block is valid; the last block ends at t_max
+        extinct = (z[-1] < EXTINCTION_THRESHOLD).mean(axis=1)
     return EnsembleStats(
         n_paths=n_paths, checkpoint_times=ck_times, mean=mean, variance=var,
-        extinction_fraction_x=float((x < EXTINCTION_THRESHOLD).mean()),
-        extinction_fraction_y=float((y < EXTINCTION_THRESHOLD).mean()),
+        extinction_fraction_x=float(extinct[0]),
+        extinction_fraction_y=float(extinct[1]),
         hist_counts=counts, hist_overflow=overflow)
 
 
@@ -434,8 +463,10 @@ def hitting_time(p: ModelParams, scheme: str, init, target: Region,
     """
     states = _lockstep(p, scheme, init, n_paths, seed0, h, t_cap)
     hit = np.full(n_paths, np.nan)
-    for step, x, y in states:
-        hit[target.contains(x, y) & np.isnan(hit)] = step * h
+    for first, z in states:
+        inside = target.contains(z[:, 0], z[:, 1])  # (steps, paths)
+        new = inside.any(axis=0) & np.isnan(hit)
+        hit[new] = (first + inside.argmax(axis=0)[new]) * h
         if not np.isnan(hit).any():
             break
 

@@ -165,6 +165,13 @@ class TestOde:
                                  "--detect-cycle", "--burn-in", burn_in])
         assert_one_error(code, out, "burn_in must be >= 0")
 
+    @pytest.mark.parametrize("burn_in", ["-5", "0.5"])
+    def test_burn_in_without_detect_cycle_is_exit_1(self, capsys, burn_in):
+        code, out = run(capsys, ["ode", *THREE, "--t-max", "1",
+                                 "--burn-in", burn_in])
+        assert_one_error(code, out,
+                         "--burn-in applies to ode --detect-cycle only")
+
 
 class TestSde:
     def test_seed_required(self, capsys):
@@ -289,14 +296,31 @@ class TestSde:
         (flags, own, mode)
         for flags, own in ((["--comparison"], "path"),
                            (["--checkpoints", "0.5"], "ensemble"),
-                           (["--target", "0,2,0,2"], "hitting"))
+                           (["--target", "0,2,0,2"], "hitting"),
+                           # refused before its value is checked, and at
+                           # the value its own modes default to
+                           (["--bins", "0"], "ensemble and stationary"),
+                           (["--bins", "50"], "ensemble and stationary"),
+                           (["--burn-in", "-5"], "ensemble and stationary"),
+                           (["--burn-in", "0"], "ensemble and stationary"),
+                           (["--t-cap", "-1"], "hitting"),
+                           (["--t-cap", "500"], "hitting"))
         for mode in ("path", "ensemble", "stationary", "hitting")
-        if mode != own])
+        if mode not in own.split(" and ")])
     def test_mode_only_flag_outside_its_mode_is_exit_1(self, capsys, flags,
                                                        own, mode):
         target = ["--target", "0,2,0,2"] if mode == "hitting" else []
         code, out = run(capsys, ["sde", mode, *STOCH, *SDE, *target, *flags])
         assert_one_error(code, out, f"{flags[0]} applies to sde {own} only")
+
+    def test_omitted_bins_and_t_cap_take_their_defaults(self, capsys):
+        code, out = run(capsys, ["sde", "ensemble", *STOCH, *SDE])
+        assert code == 0
+        assert json.loads(out.out)["histogram"]["bins"] == 50
+        code, out = run(capsys, ["sde", "hitting", *STOCH, *SDE,
+                                 "--target", "0,2,0,2"])
+        assert code == 0
+        assert json.loads(out.out)["t_cap"] == 500.0
 
     def test_comparison_allows_explicit_log_euler(self, capsys):
         argv = ["sde", "path", *STOCH, "--comparison", "--seed", "1",
@@ -359,8 +383,8 @@ class TestParser:
         (["ode"], dict(RUN, scheme="rk4", h=1e-3, detect_cycle=False)),
         (["sde", "path", "--seed", "1"],
          dict(RUN, mode="path", scheme="log-euler", h=1e-2, seed=1,
-              paths=100, bins=50, checkpoints=None, comparison=False,
-              shared_noise=False, target="", t_cap=500.0)),
+              paths=100, bins=None, checkpoints=None, comparison=None,
+              shared_noise=None, target=None, t_cap=None)),
         (["scan", "--scan", "b", "--from", "0.1", "--to", "0.5",
           "--steps", "3"], dict(name="b", lo=0.1, hi=0.5, steps=3)),
     ])

@@ -279,6 +279,8 @@ class TestEnsemble:
         (dict(burn_in=2.5), "burn_in must not exceed t_max"),
         (dict(bins=0), "bins must be >= 1"),
         (dict(bins=-3), "bins must be >= 1"),
+        (dict(hist_thin=0), "hist_thin must be >= 1"),
+        (dict(hist_thin=-2), "hist_thin must be >= 1"),
     ])
     def test_bad_burn_in_or_bins_rejected(self, kw, match):
         with pytest.raises(ValueError, match=match):
@@ -375,10 +377,12 @@ class TestHitting:
 class TestLockstepKernel:
     """Contracts of the fused lockstep kernel behind ensemble and hitting."""
 
-    @pytest.mark.parametrize("chunk", [7, 1])
+    @pytest.mark.parametrize("chunk", [7, 1, 100])
     def test_chunk_size_invariance(self, monkeypatch, chunk):
         # 600 steps: two chunks at the default size, partial last chunks
-        # at 7; every path must see the same draws whatever the chunk
+        # at 7; at 100 the checkpoint t=1.0 is the last row of a block and
+        # the thinned histogram rows straddle block edges; every path must
+        # see the same draws whatever the chunk
         def run():
             ens = [ensemble(STOCH, (0.55, 0.6), scheme, n_paths=5, seed0=3,
                             t_max=6.0, checkpoints=[1.0, 6.0], h=0.01,
@@ -407,12 +411,13 @@ class TestLockstepKernel:
     @pytest.mark.parametrize("axis, init", [(0, (0.0, 0.6)), (1, (0.55, 0.0))])
     def test_zero_axis_stays_zero(self, scheme, axis, init):
         p = replace(STOCH, sigma1=0.3, sigma2=0.3)
-        states = sde_sim._lockstep(p, scheme, init, 16, 0, 0.01, 10.0)
-        for step, x, y in states:
-            zero, other = (x, y) if axis == 0 else (y, x)
+        blocks = sde_sim._lockstep(p, scheme, init, 16, 0, 0.01, 10.0)
+        for first, z in blocks:
+            # every row of the block: z[j] is the state at step first + j
+            zero, other = z[:, axis], z[:, 1 - axis]
             assert (zero == 0.0).all() and not np.signbit(zero).any()
             assert (other > 0.0).all()
-        assert step == 1000
+        assert first + len(z) - 1 == 1000
 
     def test_milstein_positivity_names_first_bad_path(self):
         # s2 * sqrt(h) > 1: a Milstein step can cross zero for some draws,
@@ -436,6 +441,29 @@ class TestLockstepKernel:
                            match=f"positivity lost on path {worst}$"):
             hitting_time(p, MILSTEIN, (0.55, 0.6), Region(5.0, 6.0, 5.0, 6.0),
                          n_paths=n_paths, seed0=seed0, t_cap=20.0, h=h)
+
+    @pytest.mark.parametrize("init, target, expected", [
+        # the target holds the start: every path enters at step 0
+        ((0.55, 0.6), Region(0.5, 0.6, 0.5, 0.7), [0.0] * 6),
+        # not the start: path 0 enters at step 2, the others at step 1; from
+        # (0.55, 0.6) no rectangle without the start holds a state of every
+        # path at step 1 or 2, so this case starts lower
+        ((0.55, 0.4), Region(0.555, 0.6, 0.0, 1.2), [0.4] + [0.2] * 5),
+    ])
+    def test_milstein_hitting_stops_before_positivity_loss(self, init, target,
+                                                           expected):
+        # the setup above, where path 4 loses positivity at step 3: once
+        # every path has entered the target, hitting_time stops without
+        # reaching the step that fails
+        p = replace(STOCH, sigma2=2.3)
+        seed0, n_paths, h = 2, 6, 0.2
+        with pytest.raises(PositivityViolation) as exc:
+            simulate_path(p, init, MILSTEIN, make_noise(seed0 + 4, h, 100))
+        assert exc.value.step_index == 3
+        rep = hitting_time(p, MILSTEIN, init, target, n_paths=n_paths,
+                           seed0=seed0, t_cap=20.0, h=h)
+        assert rep.times.tolist() == expected
+        assert rep.fraction_censored == 0.0
 
 
 class TestLockstepValidation:
