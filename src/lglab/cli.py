@@ -195,7 +195,8 @@ def _histogram_json(counts, bins, overflow):
 _MODE_ONLY = {"comparison": ("path",), "shared_noise": ("path",),
               "checkpoints": ("ensemble",), "target": ("hitting",),
               "bins": ("ensemble", "stationary"),
-              "burn_in": ("ensemble", "stationary"), "t_cap": ("hitting",)}
+              "burn_in": ("ensemble", "stationary"), "t_cap": ("hitting",),
+              "paths": ("ensemble", "hitting")}
 
 
 def cmd_sde(args) -> int:
@@ -208,6 +209,7 @@ def cmd_sde(args) -> int:
             raise InvalidParams(
                 f"--{flag} applies to sde {' and '.join(modes)} only")
     bins = args.bins if args.bins is not None else 50  # ensemble, stationary
+    paths = args.paths if args.paths is not None else 100  # ensemble, hitting
     if args.mode == "path":
         if args.comparison and (scheme != sde_sim.LOG_EULER or args.shared_noise):
             raise InvalidParams("--comparison runs LogEuler on independent "
@@ -227,7 +229,7 @@ def cmd_sde(args) -> int:
     if args.mode == "ensemble":
         checkpoints = ([float(t) for t in args.checkpoints.split(",")]
                        if args.checkpoints else [args.t_max])
-        stats = sde_sim.ensemble(p, (args.x0, args.y0), scheme, args.paths,
+        stats = sde_sim.ensemble(p, (args.x0, args.y0), scheme, paths,
                                  args.seed, args.t_max, checkpoints,
                                  h=args.h, burn_in=args.burn_in or 0.0,
                                  bins=bins)
@@ -269,12 +271,12 @@ def cmd_sde(args) -> int:
     target = qualitative.Region(x_lo, x_hi, y_lo, y_hi)
     t_cap = args.t_cap if args.t_cap is not None else 500.0
     rep = sde_sim.hitting_time(p, scheme, (args.x0, args.y0), target,
-                               args.paths, args.seed, t_cap, h=args.h)
+                               paths, args.seed, t_cap, h=args.h)
     payload = {
         "schema": "lglab/hitting", "schema_version": SCHEMA_VERSION,
         "mean": rep.mean, "median": rep.median,
         "fraction_censored": rep.fraction_censored,
-        "n_paths": args.paths, "t_cap": t_cap,
+        "n_paths": paths, "t_cap": t_cap,
     }
     _atomic_write(args.out, _dump(payload))
     return 0
@@ -366,7 +368,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--h", type=float, default=1e-2)
     ps.add_argument("--seed", type=int, required=True,
                     help="explicit seed; stochastic runs have no implicit entropy")
-    ps.add_argument("--paths", type=int, default=100)
+    ps.add_argument("--paths", type=int, default=None,
+                    help="ensemble and hitting modes (default 100)")
     ps.add_argument("--bins", type=int, default=None,
                     help="ensemble and stationary modes (default 50)")
     ps.add_argument("--checkpoints", default=None,

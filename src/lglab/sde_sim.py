@@ -32,7 +32,7 @@ LOG_EULER = "LogEuler"
 EXTINCTION_THRESHOLD = 1e-3
 HIST_RANGE = 1.5  # histogram domain [0, 1.5]^2 plus overflow
 
-_CHUNK = 512  # steps of noise drawn at a time by the lockstep kernel
+_CHUNK = 512  # steps of noise drawn at a time per path or lockstep batch
 
 
 @dataclass(frozen=True)
@@ -122,15 +122,32 @@ def simulate_path(p: ModelParams, init, scheme: str, noise: NoisePath,
     n = _horizon(h, t_max, noise.n_steps)
     x, y = float(init[0]), float(init[1])
     _check_state(x, y)
-    a, b, k1, k2, m = p.a, p.b, p.k1, p.k2, p.m
-    s1, s2 = p.sigma1, p.sigma2
-    sqh = math.sqrt(h)
     # the increments as Python floats: numpy scalars would make every
     # operation of every step a numpy call
     g2s = noise.xi2[:n].tolist()
     g1s = g2s if shared_noise else noise.xi1[:n].tolist()
     xs, ys = [x], [y]
+    lost = _advance(p, scheme, h, g1s, g2s, xs, ys)
+    if lost is not None:
+        raise PositivityViolation(f"positivity lost at step {lost}",
+                                  step_index=lost)
+    states = np.column_stack([xs, ys])
+    times = np.arange(n + 1) * h
+    return Trajectory(times=times, states=states, scheme=scheme, h=h)
 
+
+def _advance(p: ModelParams, scheme: str, h: float, g1s, g2s, xs, ys):
+    """Step one path from the state (xs[-1], ys[-1]), one step per pair of
+    standard-normal increments in the lists g1s, g2s (Python floats),
+    appending each new state to xs and ys.
+
+    Returns None, or under Milstein the 1-based index of the step that took
+    a positive component to <= 0; the states before it are appended.
+    """
+    x, y = xs[-1], ys[-1]
+    a, b, k1, k2, m = p.a, p.b, p.k1, p.k2, p.m
+    s1, s2 = p.sigma1, p.sigma2
+    sqh = math.sqrt(h)
     if scheme == MILSTEIN:
         c1 = 0.5 * s1 * s1
         c2 = 0.5 * s2 * s2
@@ -139,8 +156,7 @@ def simulate_path(p: ModelParams, init, scheme: str, noise: NoisePath,
             xn = x + (v1 * h + s1 * x * sqh * g1 + c1 * x * (h * g1 * g1 - h))
             yn = y + (v2 * h + s2 * y * sqh * g2 + c2 * y * (h * g2 * g2 - h))
             if (xn <= 0.0 < x) or (yn <= 0.0 < y):
-                raise PositivityViolation(f"positivity lost at step {k}",
-                                          step_index=k)
+                return k
             x, y = xn, yn
             xs.append(x)
             ys.append(y)
@@ -157,10 +173,7 @@ def simulate_path(p: ModelParams, init, scheme: str, noise: NoisePath,
             ys.append(y)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-
-    states = np.column_stack([xs, ys])
-    times = np.arange(n + 1) * h
-    return Trajectory(times=times, states=states, scheme=scheme, h=h)
+    return None
 
 
 def explicit_upper_prey(sigma1: float, x0: float, noise: NoisePath,
@@ -239,6 +252,20 @@ def comparison_bundle(p: ModelParams, init, noise: NoisePath,
                             x_lower=brackets[:, 2], y_lower=brackets[:, 3])
 
 
+def _check_run(scheme: str, init, n_paths: int, h: float,
+               t_end: float) -> tuple[float, float, int]:
+    """The start and step count of a run of n_paths paths from init, after
+    the checks ensemble and hitting_time share, in simulate_path's words."""
+    x0, y0 = float(init[0]), float(init[1])
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    n = _horizon(h, t_end)
+    if scheme not in (MILSTEIN, LOG_EULER):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    _check_state(x0, y0)
+    return x0, y0, n
+
+
 def _lockstep(p: ModelParams, scheme: str, init, n_paths: int, seed0: int,
               h: float, t_end: float):
     """Paths seeded seed0 .. seed0 + n_paths - 1, advanced in lockstep.
@@ -253,25 +280,16 @@ def _lockstep(p: ModelParams, scheme: str, init, n_paths: int, seed0: int,
 
     Noise is drawn and scaled _CHUNK steps at a time into buffers
     allocated once, when the consumer asks for the block of a chunk:
-    memory is bounded by the chunk, not the horizon, and a consumer that
-    stops early draws no further chunk.  Step j of a chunk writes its new
-    state over row j of the increments, which it has just used, so a
-    block is a view of the noise buffer and is valid only until the
-    consumer asks for the next one; the state carried into the next chunk
-    is copied out once per chunk, before the buffer is refilled.
+    memory is bounded by the chunk, not the horizon.  Step j of a chunk
+    writes its new state over row j of the increments, which it has just
+    used, so a block is a view of the noise buffer and is valid only until
+    the consumer asks for the next one; the state carried into the next
+    chunk is copied out once per chunk, before the buffer is refilled.
 
     Milstein raises PositivityViolation naming the first path whose
-    positive component steps to <= 0.  The states before that step are
-    yielded first, as a shorter block, and the error comes on the next
-    pull, so a consumer that stops at an earlier step never sees it.
+    positive component steps to <= 0.
     """
-    x0, y0 = float(init[0]), float(init[1])
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    n = _horizon(h, t_end)
-    if scheme not in (MILSTEIN, LOG_EULER):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    _check_state(x0, y0)
+    x0, y0, n = _check_run(scheme, init, n_paths, h, t_end)
 
     def states():
         a, b, k1, k2, m = p.a, p.b, p.k1, p.k2, p.m
@@ -305,7 +323,6 @@ def _lockstep(p: ModelParams, scheme: str, init, n_paths: int, seed0: int,
                     np.multiply(tmp, 0.5, out=tmp)
                     np.subtract(tmp, d[c, 0] * h, out=tmp)
                     np.add(e, tmp, out=e)
-            lost = None
             for j in range(span):
                 zn = noise[j]  # this step's increments, then its state
                 _field_batch(a, b, k1, k2, m, z[0], z[1], out=v, work=work)
@@ -316,8 +333,9 @@ def _lockstep(p: ModelParams, scheme: str, init, n_paths: int, seed0: int,
                     if zn.min() <= 0.0:
                         bad = ((zn <= 0.0) & (z > 0.0)).any(axis=0)
                         if bad.any():
-                            span, lost = j, int(np.argmax(bad))
-                            break
+                            lost = int(np.argmax(bad))
+                            raise PositivityViolation(
+                                f"positivity lost on path {lost}")
                 else:
                     zero = None if z.all() else z == 0.0
                     # the drift vanishes on an axis, so 0/1 stands in for 0/0
@@ -330,10 +348,7 @@ def _lockstep(p: ModelParams, scheme: str, init, n_paths: int, seed0: int,
                     if zero is not None:
                         zn[zero] = 0.0
                 z = zn
-            if span:
-                yield start + 1, noise[:span]
-            if lost is not None:
-                raise PositivityViolation(f"positivity lost on path {lost}")
+            yield start + 1, noise[:span]
 
     return states()
 
@@ -454,21 +469,51 @@ def stationary_histogram(p: ModelParams, scheme: str, seed: int,
                             regime=regime.clause, regime_warning=warning)
 
 
+def _first_entry(p: ModelParams, scheme: str, x: float, y: float,
+                 target: Region, seed: int, h: float, n: int):
+    """simulate_path from (x, y) with seed's noise over n steps, drawn and
+    stepped _CHUNK steps at a time up to the chunk where the path first
+    enters target.  Returns (entry step, None), (None, the Milstein step
+    that lost positivity) or (None, None) for a path that never enters."""
+    if target.contains(x, y):
+        return 0, None
+    gen1, gen2 = _component_rng(seed, 0), _component_rng(seed, 1)
+    for start in range(0, n, _CHUNK):
+        span = min(_CHUNK, n - start)
+        xs, ys = [x], [y]  # the states at steps start, start + 1, ...
+        lost = _advance(p, scheme, h, gen1.standard_normal(span).tolist(),
+                        gen2.standard_normal(span).tolist(), xs, ys)
+        inside = target.contains(np.array(xs), np.array(ys))
+        if inside.any():
+            return start + int(inside.argmax()), None
+        if lost is not None:
+            return None, start + lost
+        x, y = xs[-1], ys[-1]
+    return None, None
+
+
 def hitting_time(p: ModelParams, scheme: str, init, target: Region,
                  n_paths: int, seed0: int, t_cap: float,
                  h: float = 1e-2) -> HittingReport:
     """First grid time each path enters the target rectangle.
 
-    Paths that never enter before t_cap contribute t_cap (censored).
+    Paths that never enter before t_cap contribute t_cap (censored).  Path
+    i is seeded seed0 + i and runs on its own: simulate_path's update
+    (_advance) steps it _CHUNK steps at a time, on its own draws, until it
+    enters the target or reaches t_cap, so its hit time is exactly the
+    first entry of simulate_path with seed seed0 + i, whatever the width.
+    Under Milstein, a path raises PositivityViolation only if it loses
+    positivity before it enters; the error names the path that loses it at
+    the earliest step (the lowest index on a tie).
     """
-    states = _lockstep(p, scheme, init, n_paths, seed0, h, t_cap)
-    hit = np.full(n_paths, np.nan)
-    for first, z in states:
-        inside = target.contains(z[:, 0], z[:, 1])  # (steps, paths)
-        new = inside.any(axis=0) & np.isnan(hit)
-        hit[new] = (first + inside.argmax(axis=0)[new]) * h
-        if not np.isnan(hit).any():
-            break
+    x0, y0, n = _check_run(scheme, init, n_paths, h, t_cap)
+    runs = [_first_entry(p, scheme, x0, y0, target, seed0 + i, h, n)
+            for i in range(n_paths)]
+    lost = [(step, i) for i, (_, step) in enumerate(runs) if step is not None]
+    if lost:  # the earliest loss, the lowest path on a tie
+        raise PositivityViolation(f"positivity lost on path {min(lost)[1]}")
+    hit = np.array([math.nan if step is None else step * h
+                    for step, _ in runs])
 
     censored = np.isnan(hit)
     times = np.where(censored, t_cap, hit)

@@ -11,7 +11,12 @@ THREE = ["--a", "0.5", "--b", "0.1", "--k1", "0.08", "--k2", "0.2",
          "--m", "0.0025"]
 STOCH = ["--a", "0.4", "--b", "0.1", "--k1", "0.08", "--k2", "0.2",
          "--m", "0.0025", "--sigma1", "0.1", "--sigma2", "0.1"]
-SDE = ["--seed", "1", "--paths", "4", "--t-max", "1"]
+SDE = ["--seed", "1", "--t-max", "1"]
+
+
+def paths(mode):
+    """`--paths 4` for the sde modes that read it."""
+    return ["--paths", "4"] if mode in ("ensemble", "hitting") else []
 
 
 def load_schema(name):
@@ -257,7 +262,7 @@ class TestSde:
     ])
     def test_bad_burn_in_or_bins_is_exit_1(self, capsys, mode, flags, message):
         code, out = run(capsys, ["sde", mode, *STOCH, "--seed", "1",
-                                 "--paths", "4", "--h", "0.01",
+                                 *paths(mode), "--h", "0.01",
                                  "--t-max", "10", *flags])
         assert code == 1
         assert out.err == f"error: {message}\n"
@@ -273,7 +278,7 @@ class TestSde:
                                       ["hitting", "--target", "0,2,0,2"]])
     def test_infinite_h_is_exit_1(self, capsys, mode):
         code, out = run(capsys, ["sde", mode[0], *STOCH, *mode[1:],
-                                 "--seed", "1", "--paths", "4", "--h", "inf"])
+                                 "--seed", "1", *paths(mode[0]), "--h", "inf"])
         assert_one_error(code, out, "h must be finite")
 
     @pytest.mark.parametrize("flags", [["--scheme", "milstein"],
@@ -289,7 +294,7 @@ class TestSde:
                                       ["hitting", "--target", "0,2,0,2"]])
     def test_shared_noise_outside_path_is_exit_1(self, capsys, mode):
         code, out = run(capsys, ["sde", mode[0], *STOCH, *mode[1:], *SDE,
-                                 "--shared-noise"])
+                                 *paths(mode[0]), "--shared-noise"])
         assert_one_error(code, out, "--shared-noise applies to sde path only")
 
     @pytest.mark.parametrize("flags, own, mode", [
@@ -304,23 +309,34 @@ class TestSde:
                            (["--burn-in", "-5"], "ensemble and stationary"),
                            (["--burn-in", "0"], "ensemble and stationary"),
                            (["--t-cap", "-1"], "hitting"),
-                           (["--t-cap", "500"], "hitting"))
+                           (["--t-cap", "500"], "hitting"),
+                           (["--paths", "0"], "ensemble and hitting"),
+                           (["--paths", "100"], "ensemble and hitting"))
         for mode in ("path", "ensemble", "stationary", "hitting")
         if mode not in own.split(" and ")])
     def test_mode_only_flag_outside_its_mode_is_exit_1(self, capsys, flags,
                                                        own, mode):
         target = ["--target", "0,2,0,2"] if mode == "hitting" else []
-        code, out = run(capsys, ["sde", mode, *STOCH, *SDE, *target, *flags])
+        code, out = run(capsys, ["sde", mode, *STOCH, *SDE, *paths(mode),
+                                 *target, *flags])
         assert_one_error(code, out, f"{flags[0]} applies to sde {own} only")
 
     def test_omitted_bins_and_t_cap_take_their_defaults(self, capsys):
-        code, out = run(capsys, ["sde", "ensemble", *STOCH, *SDE])
+        code, out = run(capsys, ["sde", "ensemble", *STOCH, *SDE,
+                                 *paths("ensemble")])
         assert code == 0
         assert json.loads(out.out)["histogram"]["bins"] == 50
         code, out = run(capsys, ["sde", "hitting", *STOCH, *SDE,
-                                 "--target", "0,2,0,2"])
+                                 *paths("hitting"), "--target", "0,2,0,2"])
         assert code == 0
         assert json.loads(out.out)["t_cap"] == 500.0
+
+    @pytest.mark.parametrize("mode", [["ensemble"],
+                                      ["hitting", "--target", "0,2,0,2"]])
+    def test_omitted_paths_takes_its_default(self, capsys, mode):
+        code, out = run(capsys, ["sde", mode[0], *STOCH, *mode[1:], *SDE])
+        assert code == 0
+        assert json.loads(out.out)["n_paths"] == 100
 
     def test_comparison_allows_explicit_log_euler(self, capsys):
         argv = ["sde", "path", *STOCH, "--comparison", "--seed", "1",
@@ -383,7 +399,7 @@ class TestParser:
         (["ode"], dict(RUN, scheme="rk4", h=1e-3, detect_cycle=False)),
         (["sde", "path", "--seed", "1"],
          dict(RUN, mode="path", scheme="log-euler", h=1e-2, seed=1,
-              paths=100, bins=None, checkpoints=None, comparison=None,
+              paths=None, bins=None, checkpoints=None, comparison=None,
               shared_noise=None, target=None, t_cap=None)),
         (["scan", "--scan", "b", "--from", "0.1", "--to", "0.5",
           "--steps", "3"], dict(name="b", lo=0.1, hi=0.5, steps=3)),
@@ -423,11 +439,11 @@ class TestScan:
 @pytest.mark.parametrize("argv, message", [
     (["sde", "path", *STOCH, *SDE, "--x0", "nan"],
      "initial state must lie in the closed quadrant"),
-    (["sde", "ensemble", *STOCH, *SDE, "--x0", "nan"],
+    (["sde", "ensemble", *STOCH, *SDE, *paths("ensemble"), "--x0", "nan"],
      "initial state must lie in the closed quadrant"),
     (["sde", "path", *STOCH, *SDE, "--sigma1", "nan"],
      "noise intensities must be nonnegative and finite"),
-    (["sde", "ensemble", *STOCH, *SDE, "--sigma2", "inf"],
+    (["sde", "ensemble", *STOCH, *SDE, *paths("ensemble"), "--sigma2", "inf"],
      "noise intensities must be nonnegative and finite"),
     (["sde", "path", *STOCH, "--seed", "1", "--t-max", "inf"],
      "horizon must be finite"),

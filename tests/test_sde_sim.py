@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lglab import (
     ModelParams,
@@ -22,6 +24,61 @@ from lglab.sde_sim import LOG_EULER, MILSTEIN, NoisePath, write_path_csv
 
 STOCH = ModelParams(a=0.4, b=0.1, k1=0.08, k2=0.2, m=0.0025,
                     sigma1=0.1, sigma2=0.1)
+
+
+def scalar_first_entry(p, scheme, init, target, seed, h, n):
+    """(time, None) of simulate_path's first state in target over n steps,
+    or (None, the Milstein step that loses positivity), or (None, None)."""
+    noise = make_noise(seed, h, n)
+    lost = None
+    try:
+        sp = simulate_path(p, init, scheme, noise)
+    except PositivityViolation as exc:
+        lost = exc.step_index
+        sp = simulate_path(p, init, scheme, noise, t_max=(lost - 1) * h)
+    inside = target.contains(sp.x, sp.y)
+    if inside.any():
+        return sp.times[np.argmax(inside)], None
+    return None, lost
+
+
+RATE = st.floats(10 ** -1.5, 10 ** 0.5)
+COORD = st.floats(0.0, 1.5)
+
+
+@st.composite
+def hitting_cases(draw):
+    """Parameters, start, target, width, seed0, h and steps of a hitting
+    run: starts on the axes and inside the target included."""
+    p = ModelParams(a=draw(RATE), b=draw(RATE), k1=draw(RATE), k2=draw(RATE),
+                    m=draw(st.just(0.0) | st.floats(0.0, 0.6)),
+                    sigma1=draw(st.floats(0.0, 2.5)),
+                    sigma2=draw(st.floats(0.0, 2.5)))
+    start = draw(st.sampled_from(["near", "prey axis", "predator axis",
+                                  "inside"]))
+    x = 0.0 if start == "predator axis" else draw(COORD)
+    y = 0.0 if start == "prey axis" else draw(COORD)
+    # a target next to (x, y), a gap away along a component that can move
+    gap_at = {"prey axis": 0, "predator axis": 1}.get(start)
+    if gap_at is None:
+        gap_at = draw(st.sampled_from([0, 1]))
+    bounds = []
+    for c, v in enumerate((x, y)):
+        width = draw(st.floats(0.05, 0.5))
+        lo = v + draw(st.floats(0.0, 0.1)) if c == gap_at else max(
+            0.0, v - width / 2)
+        bounds += [lo, lo + width]
+    target = Region(*bounds)
+    if start == "inside":
+        init = (draw(st.floats(target.x_lo, target.x_hi)),
+                draw(st.floats(target.y_lo, target.y_hi, exclude_max=True)))
+    else:
+        init = (x, y)
+    return (p, init, target,
+            draw(st.integers(1, 20)),
+            draw(st.integers(0, 2 ** 32)),
+            draw(st.sampled_from([0.01, 0.05, 0.2])),
+            draw(st.integers(0, 1100)))
 
 
 class TestNoise:
@@ -373,9 +430,50 @@ class TestHitting:
             expected = sp.times[np.argmax(inside)] if inside.any() else t_cap
             assert rep.times[i] == expected
 
+    @pytest.mark.parametrize("scheme", [LOG_EULER, MILSTEIN])
+    @settings(max_examples=100, deadline=None)
+    @given(case=hitting_cases())
+    def test_hit_times_are_scalar_first_entries(self, scheme, case):
+        # bit for bit simulate_path's first entry, t_cap if there is none;
+        # under Milstein, a loss of positivity before the path's own entry
+        # raises, naming the earliest such loss
+        p, init, target, n_paths, seed0, h, n = case
+        t_cap = n * h
+        runs = [scalar_first_entry(p, scheme, init, target, seed0 + i, h, n)
+                for i in range(n_paths)]
+        lost = [(step, i) for i, (t, step) in enumerate(runs)
+                if step is not None]
+        kw = dict(n_paths=n_paths, seed0=seed0, t_cap=t_cap, h=h)
+        if lost:
+            with pytest.raises(PositivityViolation,
+                               match=f"positivity lost on path {min(lost)[1]}$"):
+                hitting_time(p, scheme, init, target, **kw)
+            return
+        rep = hitting_time(p, scheme, init, target, **kw)
+        expected = [t_cap if t is None else t for t, _ in runs]
+        assert rep.times.tolist() == expected
+        censored = sum(t is None for t, _ in runs)
+        assert rep.fraction_censored == censored / n_paths
+
+    def test_milstein_loss_after_own_entry_does_not_raise(self):
+        # path 0 enters the target at step 1 and loses positivity at step 2;
+        # path 1 enters at step 4.  Each path stops at its own entry, so
+        # path 0's later loss is never reached
+        p = replace(STOCH, sigma2=2.3)
+        init, seed0, h = (0.55, 0.6), 12, 0.2
+        target = Region(0.51, 0.6, 0.1, 0.37)
+        for i, step in enumerate((2, 40)):
+            with pytest.raises(PositivityViolation) as exc:
+                simulate_path(p, init, MILSTEIN, make_noise(seed0 + i, h, 100))
+            assert exc.value.step_index == step
+        rep = hitting_time(p, MILSTEIN, init, target, n_paths=2, seed0=seed0,
+                           t_cap=20.0, h=h)
+        assert rep.times.tolist() == [1 * h, 4 * h]
+
 
 class TestLockstepKernel:
-    """Contracts of the fused lockstep kernel behind ensemble and hitting."""
+    """Contracts of the fused lockstep kernel behind ensemble, and of the
+    chunked per-path stepping behind hitting_time."""
 
     @pytest.mark.parametrize("chunk", [7, 1, 100])
     def test_chunk_size_invariance(self, monkeypatch, chunk):
