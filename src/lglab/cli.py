@@ -159,13 +159,14 @@ def cmd_analyze(args) -> int:
 def cmd_ode(args) -> int:
     p = _build_params(args)
     scheme = ode_sim.EULER if args.scheme == "euler" else ode_sim.RK4
+    t_max = args.t_max if args.t_max is not None else 100.0
     if args.detect_cycle:
-        burn = args.burn_in if args.burn_in is not None else 0.5 * args.t_max
+        burn = args.burn_in if args.burn_in is not None else 0.5 * t_max
         _check_burn_in(burn)  # before the CSV is written
     elif args.burn_in is not None:
         raise InvalidParams("--burn-in applies to ode --detect-cycle only")
     traj = ode_sim.integrate(p, (args.x0, args.y0), scheme=scheme,
-                             h=args.h, t_max=args.t_max)
+                             h=args.h, t_max=t_max)
     buf = io.StringIO()
     ode_sim.write_csv(traj, buf)
     _atomic_write(args.out, buf.getvalue())
@@ -173,7 +174,7 @@ def cmd_ode(args) -> int:
         if scheme != ode_sim.RK4:
             # detection always runs on the RK4 trajectory
             traj = ode_sim.integrate(p, (args.x0, args.y0), scheme=ode_sim.RK4,
-                                     h=args.h, t_max=args.t_max)
+                                     h=args.h, t_max=t_max)
         try:
             report = ode_sim.detect_limit_cycle(p, traj, t_burn=burn)
             payload = report.to_dict()
@@ -196,7 +197,8 @@ _MODE_ONLY = {"comparison": ("path",), "shared_noise": ("path",),
               "checkpoints": ("ensemble",), "target": ("hitting",),
               "bins": ("ensemble", "stationary"),
               "burn_in": ("ensemble", "stationary"), "t_cap": ("hitting",),
-              "paths": ("ensemble", "hitting")}
+              "paths": ("ensemble", "hitting"),
+              "t_max": ("path", "ensemble", "stationary")}
 
 
 def cmd_sde(args) -> int:
@@ -206,16 +208,18 @@ def cmd_sde(args) -> int:
     for dest, modes in _MODE_ONLY.items():
         if getattr(args, dest) is not None and args.mode not in modes:
             flag = dest.replace("_", "-")
-            raise InvalidParams(
-                f"--{flag} applies to sde {' and '.join(modes)} only")
+            *rest, last = modes
+            own = f"{', '.join(rest)} and {last}" if rest else last
+            raise InvalidParams(f"--{flag} applies to sde {own} only")
     bins = args.bins if args.bins is not None else 50  # ensemble, stationary
     paths = args.paths if args.paths is not None else 100  # ensemble, hitting
+    t_max = args.t_max if args.t_max is not None else 100.0  # all but hitting
     if args.mode == "path":
         if args.comparison and (scheme != sde_sim.LOG_EULER or args.shared_noise):
             raise InvalidParams("--comparison runs LogEuler on independent "
                                 "noise; drop --scheme milstein and --shared-noise")
         noise = sde_sim.make_noise(args.seed, args.h,
-                                   _horizon(args.h, args.t_max))
+                                   _horizon(args.h, t_max))
         if args.comparison:
             path = sde_sim.comparison_bundle(p, (args.x0, args.y0), noise)
         else:
@@ -228,9 +232,9 @@ def cmd_sde(args) -> int:
 
     if args.mode == "ensemble":
         checkpoints = ([float(t) for t in args.checkpoints.split(",")]
-                       if args.checkpoints else [args.t_max])
+                       if args.checkpoints else [t_max])
         stats = sde_sim.ensemble(p, (args.x0, args.y0), scheme, paths,
-                                 args.seed, args.t_max, checkpoints,
+                                 args.seed, t_max, checkpoints,
                                  h=args.h, burn_in=args.burn_in or 0.0,
                                  bins=bins)
         payload = {
@@ -251,7 +255,7 @@ def cmd_sde(args) -> int:
     if args.mode == "stationary":
         rep = sde_sim.stationary_histogram(
             p, scheme, args.seed,
-            args.burn_in if args.burn_in is not None else 100.0, args.t_max,
+            args.burn_in if args.burn_in is not None else 100.0, t_max,
             bins=bins, h=args.h, init=(args.x0, args.y0))
         payload = {
             "schema": "lglab/stationary", "schema_version": SCHEMA_VERSION,
@@ -342,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     files.add_argument("--raw", metavar="FILE", help="JSON file with dimensional parameters")
     common.add_argument("--out", default="-")
     run = argparse.ArgumentParser(add_help=False)  # ode and sde
-    run.add_argument("--t-max", type=float, default=100.0)
+    run.add_argument("--t-max", type=float, default=None)
     run.add_argument("--x0", type=float, default=0.5)
     run.add_argument("--y0", type=float, default=0.5)
     run.add_argument("--burn-in", type=float, default=None)

@@ -266,91 +266,74 @@ def _check_run(scheme: str, init, n_paths: int, h: float,
     return x0, y0, n
 
 
-def _lockstep(p: ModelParams, scheme: str, init, n_paths: int, seed0: int,
-              h: float, t_end: float):
-    """Paths seeded seed0 .. seed0 + n_paths - 1, advanced in lockstep.
+def _lockstep(p: ModelParams, scheme: str, x0: float, y0: float,
+              n_paths: int, seed0: int, h: float, n: int):
+    """Paths seeded seed0 .. seed0 + n_paths - 1, advanced in lockstep from
+    (x0, y0) over the n steps of a run that _check_run has validated.
 
-    Validates the run up front, then returns an iterator of blocks
-    (first, z) covering steps 0 .. round(t_end / h) in order: z is a
-    (span, 2, n_paths) array and z[j, 0, i], z[j, 1, i] are the prey and
-    predator of path i at step first + j.  Step 0 is a block of its own,
-    then each block is one noise chunk.  Path i draws from the same
+    Yields (step, z) for step 0 .. n in order: z is a new (2, n_paths)
+    array, and z[0, i], z[1, i] are the prey and predator of path i, so a
+    consumer may keep what it was yielded.  Path i draws from the same
     generators as simulate_path with seed seed0 + i.  Each operation of an
-    update is one ufunc call for both species.
-
-    Noise is drawn and scaled _CHUNK steps at a time into buffers
-    allocated once, when the consumer asks for the block of a chunk:
-    memory is bounded by the chunk, not the horizon.  Step j of a chunk
-    writes its new state over row j of the increments, which it has just
-    used, so a block is a view of the noise buffer and is valid only until
-    the consumer asks for the next one; the state carried into the next
-    chunk is copied out once per chunk, before the buffer is refilled.
+    update is one ufunc call for both species.  Noise is drawn and scaled
+    _CHUNK steps at a time into buffers allocated once: memory is bounded
+    by the chunk, not the horizon.
 
     Milstein raises PositivityViolation naming the first path whose
     positive component steps to <= 0.
     """
-    x0, y0, n = _check_run(scheme, init, n_paths, h, t_end)
-
-    def states():
-        a, b, k1, k2, m = p.a, p.b, p.k1, p.k2, p.m
-        sqh = math.sqrt(h)
-        scale = (p.sigma1 * sqh, p.sigma2 * sqh)
-        d = np.array([[0.5 * p.sigma1 * p.sigma1], [0.5 * p.sigma2 * p.sigma2]])
-        gens = [[_component_rng(seed0 + i, c) for i in range(n_paths)]
-                for c in (0, 1)]
-        chunk = min(_CHUNK, n)
-        raw = np.empty((n_paths, chunk))        # one generator per row
-        noise = np.empty((chunk, 2, n_paths))   # scaled increments by step
-        v = np.empty((2, n_paths))
-        work = np.empty((2, n_paths))
-        carry = np.array([[x0], [y0]]).repeat(n_paths, axis=1)
-        yield 0, carry[None]
-        z = carry
-        for start in range(0, n, _CHUNK):
-            if start:  # the last state leaves the buffer before the refill
-                np.copyto(carry, z)
-                z = carry
-            span = min(_CHUNK, n - start)
-            for c in (0, 1):
-                for row, g in zip(raw, gens[c]):
-                    g.standard_normal(out=row[:span])
-                e = np.multiply(raw[:, :span].T, scale[c], out=noise[:span, c])
-                if scheme == MILSTEIN:
-                    # a Milstein step is z + v*h + z*(e + (e^2/2 - d*h)):
-                    # fold the bracket into the noise once per chunk
-                    tmp = raw.reshape(-1)[:e.size].reshape(e.shape)
-                    np.multiply(e, e, out=tmp)
-                    np.multiply(tmp, 0.5, out=tmp)
-                    np.subtract(tmp, d[c, 0] * h, out=tmp)
-                    np.add(e, tmp, out=e)
-            for j in range(span):
-                zn = noise[j]  # this step's increments, then its state
-                _field_batch(a, b, k1, k2, m, z[0], z[1], out=v, work=work)
-                if scheme == MILSTEIN:
-                    np.multiply(z, zn, out=zn)
-                    np.add(zn, np.multiply(v, h, out=v), out=zn)
-                    np.add(z, zn, out=zn)
-                    if zn.min() <= 0.0:
-                        bad = ((zn <= 0.0) & (z > 0.0)).any(axis=0)
-                        if bad.any():
-                            lost = int(np.argmax(bad))
-                            raise PositivityViolation(
-                                f"positivity lost on path {lost}")
-                else:
-                    zero = None if z.all() else z == 0.0
-                    # the drift vanishes on an axis, so 0/1 stands in for 0/0
-                    np.divide(v, z if zero is None else np.where(zero, 1.0, z),
-                              out=v)
-                    np.subtract(v, d, out=v)
-                    np.multiply(v, h, out=v)
-                    np.add(v, zn, out=v)
-                    np.multiply(np.exp(v, out=v), z, out=zn)
-                    if zero is not None:
-                        zn[zero] = 0.0
-                z = zn
-            yield start + 1, noise[:span]
-
-    return states()
+    a, b, k1, k2, m = p.a, p.b, p.k1, p.k2, p.m
+    sqh = math.sqrt(h)
+    scale = (p.sigma1 * sqh, p.sigma2 * sqh)
+    d = np.array([[0.5 * p.sigma1 * p.sigma1], [0.5 * p.sigma2 * p.sigma2]])
+    gens = [[_component_rng(seed0 + i, c) for i in range(n_paths)]
+            for c in (0, 1)]
+    chunk = min(_CHUNK, n)
+    raw = np.empty((n_paths, chunk))        # one generator per row
+    noise = np.empty((chunk, 2, n_paths))   # scaled increments by step
+    v = np.empty((2, n_paths))
+    work = np.empty((2, n_paths))
+    z = np.array([[x0], [y0]]).repeat(n_paths, axis=1)
+    yield 0, z
+    for start in range(0, n, _CHUNK):
+        span = min(_CHUNK, n - start)
+        for c in (0, 1):
+            for row, g in zip(raw, gens[c]):
+                g.standard_normal(out=row[:span])
+            e = np.multiply(raw[:, :span].T, scale[c], out=noise[:span, c])
+            if scheme == MILSTEIN:
+                # a Milstein step is z + v*h + z*(e + (e^2/2 - d*h)):
+                # fold the bracket into the noise once per chunk
+                tmp = raw.reshape(-1)[:e.size].reshape(e.shape)
+                np.multiply(e, e, out=tmp)
+                np.multiply(tmp, 0.5, out=tmp)
+                np.subtract(tmp, d[c, 0] * h, out=tmp)
+                np.add(e, tmp, out=e)
+        for j in range(span):
+            _field_batch(a, b, k1, k2, m, z[0], z[1], out=v, work=work)
+            if scheme == MILSTEIN:
+                zn = np.multiply(z, noise[j])
+                np.add(zn, np.multiply(v, h, out=v), out=zn)
+                np.add(z, zn, out=zn)
+                if zn.min() <= 0.0:
+                    bad = ((zn <= 0.0) & (z > 0.0)).any(axis=0)
+                    if bad.any():
+                        lost = int(np.argmax(bad))
+                        raise PositivityViolation(
+                            f"positivity lost on path {lost}")
+            else:
+                zero = None if z.all() else z == 0.0
+                # the drift vanishes on an axis, so 0/1 stands in for 0/0
+                np.divide(v, z if zero is None else np.where(zero, 1.0, z),
+                          out=v)
+                np.subtract(v, d, out=v)
+                np.multiply(v, h, out=v)
+                np.add(v, noise[j], out=v)
+                zn = np.multiply(np.exp(v, out=v), z)
+                if zero is not None:
+                    zn[zero] = 0.0
+            z = zn
+            yield start + j + 1, z
 
 
 def _check_bins(bins: int) -> None:
@@ -375,13 +358,15 @@ def ensemble(p: ModelParams, init, scheme: str, n_paths: int, seed0: int,
              hist_thin: int = 100) -> EnsembleStats:
     """Monte Carlo over paths seeded seed0 .. seed0 + n_paths - 1.
 
-    Paths advance in lockstep so moments at each checkpoint are direct
-    cross-path reductions; the histogram pools every hist_thin-th
-    post-burn-in state of every path.  Noise is drawn per path from the
-    same generators a single simulate_path run would use.  Checkpoints
-    must lie in [0, t_max] and round to distinct grid steps.
+    Paths advance in lockstep and each step's state is reduced as it
+    comes: moments at each checkpoint are direct cross-path reductions,
+    the histogram pools every hist_thin-th post-burn-in state of every
+    path, and the extinction fractions are read off the last state.  Noise
+    is drawn per path from the same generators a single simulate_path run
+    would use.  Checkpoints must lie in [0, t_max] and round to distinct
+    grid steps.
     """
-    states = _lockstep(p, scheme, init, n_paths, seed0, h, t_max)
+    x0, y0, n = _check_run(scheme, init, n_paths, h, t_max)
     _check_burn_in(burn_in)
     _check_bins(bins)
     if burn_in > t_max:
@@ -400,23 +385,17 @@ def ensemble(p: ModelParams, init, scheme: str, n_paths: int, seed0: int,
     var = np.zeros((len(ck_times), 2))
     counts = np.zeros((bins, bins), dtype=np.int64)
     overflow = 0
-    for first, z in states:
-        end = first + len(z)
-        for step, i in ck_steps.items():
-            if first <= step < end:
-                x, y = z[step - first]
-                mean[i] = x.mean(), y.mean()
-                var[i] = x.var(), y.var()
-        # the block's rows at steps >= burn_step that are multiples of
-        # hist_thin, binned at once
-        lo = -(-max(first, burn_step) // hist_thin) * hist_thin
-        if lo < end:
-            rows = z[lo - first::hist_thin]
-            c, o = _bin2d(rows[:, 0], rows[:, 1], bins)
+    for step, z in _lockstep(p, scheme, x0, y0, n_paths, seed0, h, n):
+        i = ck_steps.get(step)
+        if i is not None:
+            x, y = z
+            mean[i] = x.mean(), y.mean()
+            var[i] = x.var(), y.var()
+        if step >= burn_step and step % hist_thin == 0:
+            c, o = _bin2d(*z, bins)
             counts += c
             overflow += o
-        # read while the block is valid; the last block ends at t_max
-        extinct = (z[-1] < EXTINCTION_THRESHOLD).mean(axis=1)
+    extinct = (z < EXTINCTION_THRESHOLD).mean(axis=1)  # at t_max
     return EnsembleStats(
         n_paths=n_paths, checkpoint_times=ck_times, mean=mean, variance=var,
         extinction_fraction_x=float(extinct[0]),
@@ -497,16 +476,20 @@ def hitting_time(p: ModelParams, scheme: str, init, target: Region,
                  h: float = 1e-2) -> HittingReport:
     """First grid time each path enters the target rectangle.
 
-    Paths that never enter before t_cap contribute t_cap (censored).  Path
-    i is seeded seed0 + i and runs on its own: simulate_path's update
-    (_advance) steps it _CHUNK steps at a time, on its own draws, until it
-    enters the target or reaches t_cap, so its hit time is exactly the
-    first entry of simulate_path with seed seed0 + i, whatever the width.
+    The grid times watched are those at or before t_cap: floor(t_cap / h)
+    steps, with a relative slack of 1e-12 for the rounding of t_cap / h,
+    so no path reports an entry after t_cap.  Paths that never enter by then
+    contribute t_cap (censored).  Path i is seeded seed0 + i and runs on
+    its own: simulate_path's update (_advance) steps it _CHUNK steps at a
+    time, on its own draws, until it enters the target or reaches the
+    last step, so its hit time is exactly the first entry of
+    simulate_path with seed seed0 + i, whatever the width.
     Under Milstein, a path raises PositivityViolation only if it loses
     positivity before it enters; the error names the path that loses it at
     the earliest step (the lowest index on a tie).
     """
-    x0, y0, n = _check_run(scheme, init, n_paths, h, t_cap)
+    x0, y0, _ = _check_run(scheme, init, n_paths, h, t_cap)
+    n = math.floor(t_cap / h * (1 + 1e-12))
     runs = [_first_entry(p, scheme, x0, y0, target, seed0 + i, h, n)
             for i in range(n_paths)]
     lost = [(step, i) for i, (_, step) in enumerate(runs) if step is not None]

@@ -1,4 +1,5 @@
 import json
+import re
 from importlib import resources
 
 import jsonschema
@@ -11,7 +12,11 @@ THREE = ["--a", "0.5", "--b", "0.1", "--k1", "0.08", "--k2", "0.2",
          "--m", "0.0025"]
 STOCH = ["--a", "0.4", "--b", "0.1", "--k1", "0.08", "--k2", "0.2",
          "--m", "0.0025", "--sigma1", "0.1", "--sigma2", "0.1"]
-SDE = ["--seed", "1", "--t-max", "1"]
+
+
+def seeded(mode):
+    """`--seed 1`, and `--t-max 1` for the sde modes that read it."""
+    return ["--seed", "1", *(["--t-max", "1"] if mode != "hitting" else [])]
 
 
 def paths(mode):
@@ -293,8 +298,9 @@ class TestSde:
     @pytest.mark.parametrize("mode", [["ensemble"], ["stationary"],
                                       ["hitting", "--target", "0,2,0,2"]])
     def test_shared_noise_outside_path_is_exit_1(self, capsys, mode):
-        code, out = run(capsys, ["sde", mode[0], *STOCH, *mode[1:], *SDE,
-                                 *paths(mode[0]), "--shared-noise"])
+        code, out = run(capsys, ["sde", mode[0], *STOCH, *mode[1:],
+                                 *seeded(mode[0]), *paths(mode[0]),
+                                 "--shared-noise"])
         assert_one_error(code, out, "--shared-noise applies to sde path only")
 
     @pytest.mark.parametrize("flags, own, mode", [
@@ -311,22 +317,25 @@ class TestSde:
                            (["--t-cap", "-1"], "hitting"),
                            (["--t-cap", "500"], "hitting"),
                            (["--paths", "0"], "ensemble and hitting"),
-                           (["--paths", "100"], "ensemble and hitting"))
+                           (["--paths", "100"], "ensemble and hitting"),
+                           (["--t-max", "1"], "path, ensemble and stationary"),
+                           (["--t-max", "100"],
+                            "path, ensemble and stationary"))
         for mode in ("path", "ensemble", "stationary", "hitting")
-        if mode not in own.split(" and ")])
+        if mode not in re.findall(r"\w+", own)])
     def test_mode_only_flag_outside_its_mode_is_exit_1(self, capsys, flags,
                                                        own, mode):
         target = ["--target", "0,2,0,2"] if mode == "hitting" else []
-        code, out = run(capsys, ["sde", mode, *STOCH, *SDE, *paths(mode),
-                                 *target, *flags])
+        code, out = run(capsys, ["sde", mode, *STOCH, *seeded(mode),
+                                 *paths(mode), *target, *flags])
         assert_one_error(code, out, f"{flags[0]} applies to sde {own} only")
 
     def test_omitted_bins_and_t_cap_take_their_defaults(self, capsys):
-        code, out = run(capsys, ["sde", "ensemble", *STOCH, *SDE,
-                                 *paths("ensemble")])
+        code, out = run(capsys, ["sde", "ensemble", *STOCH,
+                                 *seeded("ensemble"), *paths("ensemble")])
         assert code == 0
         assert json.loads(out.out)["histogram"]["bins"] == 50
-        code, out = run(capsys, ["sde", "hitting", *STOCH, *SDE,
+        code, out = run(capsys, ["sde", "hitting", *STOCH, *seeded("hitting"),
                                  *paths("hitting"), "--target", "0,2,0,2"])
         assert code == 0
         assert json.loads(out.out)["t_cap"] == 500.0
@@ -334,7 +343,8 @@ class TestSde:
     @pytest.mark.parametrize("mode", [["ensemble"],
                                       ["hitting", "--target", "0,2,0,2"]])
     def test_omitted_paths_takes_its_default(self, capsys, mode):
-        code, out = run(capsys, ["sde", mode[0], *STOCH, *mode[1:], *SDE])
+        code, out = run(capsys, ["sde", mode[0], *STOCH, *mode[1:],
+                                 *seeded(mode[0])])
         assert code == 0
         assert json.loads(out.out)["n_paths"] == 100
 
@@ -392,7 +402,7 @@ class TestParser:
     # every flag's dest and default, each subcommand parsing a fixed argv
     MODEL = dict(a=0.5, b=0.1, k1=0.08, k2=0.2, m=None, sigma1=None,
                  sigma2=None, params=None, raw=None, out="-")
-    RUN = dict(t_max=100.0, x0=0.5, y0=0.5, burn_in=None)
+    RUN = dict(t_max=None, x0=0.5, y0=0.5, burn_in=None)
 
     @pytest.mark.parametrize("argv, expected", [
         (["analyze"], dict(hopf=False)),
@@ -437,13 +447,15 @@ class TestScan:
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["sde", "path", *STOCH, *SDE, "--x0", "nan"],
+    (["sde", "path", *STOCH, *seeded("path"), "--x0", "nan"],
      "initial state must lie in the closed quadrant"),
-    (["sde", "ensemble", *STOCH, *SDE, *paths("ensemble"), "--x0", "nan"],
+    (["sde", "ensemble", *STOCH, *seeded("ensemble"), *paths("ensemble"),
+      "--x0", "nan"],
      "initial state must lie in the closed quadrant"),
-    (["sde", "path", *STOCH, *SDE, "--sigma1", "nan"],
+    (["sde", "path", *STOCH, *seeded("path"), "--sigma1", "nan"],
      "noise intensities must be nonnegative and finite"),
-    (["sde", "ensemble", *STOCH, *SDE, *paths("ensemble"), "--sigma2", "inf"],
+    (["sde", "ensemble", *STOCH, *seeded("ensemble"), *paths("ensemble"),
+      "--sigma2", "inf"],
      "noise intensities must be nonnegative and finite"),
     (["sde", "path", *STOCH, "--seed", "1", "--t-max", "inf"],
      "horizon must be finite"),

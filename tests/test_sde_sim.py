@@ -455,6 +455,19 @@ class TestHitting:
         censored = sum(t is None for t, _ in runs)
         assert rep.fraction_censored == censored / n_paths
 
+    @pytest.mark.parametrize("t_cap, expected, censored", [
+        # between steps 1 and 2: only step 1 is watched, so paths 0 and 2,
+        # which first enter at step 2, are censored at the cap
+        (0.015, [0.015, 0.015, 0.015, 0.01, 0.01, 0.01], 3 / 6),
+        (0.02, [0.02, 0.02, 0.02, 0.01, 0.01, 0.01], 1 / 6),
+    ])
+    def test_no_entry_after_t_cap(self, t_cap, expected, censored):
+        rep = hitting_time(STOCH, LOG_EULER, (0.55, 0.6),
+                           Region(0.0, 2.0, 0.0, 0.6), n_paths=6, seed0=0,
+                           t_cap=t_cap, h=0.01)
+        assert rep.times.tolist() == expected
+        assert rep.fraction_censored == censored
+
     def test_milstein_loss_after_own_entry_does_not_raise(self):
         # path 0 enters the target at step 1 and loses positivity at step 2;
         # path 1 enters at step 4.  Each path stops at its own entry, so
@@ -472,15 +485,16 @@ class TestHitting:
 
 
 class TestLockstepKernel:
-    """Contracts of the fused lockstep kernel behind ensemble, and of the
-    chunked per-path stepping behind hitting_time."""
+    """Contracts of the fused lockstep kernel behind ensemble, which yields
+    one fresh state per step, and of the chunked per-path stepping behind
+    hitting_time."""
 
     @pytest.mark.parametrize("chunk", [7, 1, 100])
     def test_chunk_size_invariance(self, monkeypatch, chunk):
         # 600 steps: two chunks at the default size, partial last chunks
-        # at 7; at 100 the checkpoint t=1.0 is the last row of a block and
-        # the thinned histogram rows straddle block edges; every path must
-        # see the same draws whatever the chunk
+        # at 7; at 100 the checkpoint t=1.0 is the last step of a chunk and
+        # the thinned histogram steps fall on both sides of chunk edges;
+        # every path must see the same draws whatever the chunk
         def run():
             ens = [ensemble(STOCH, (0.55, 0.6), scheme, n_paths=5, seed0=3,
                             t_max=6.0, checkpoints=[1.0, 6.0], h=0.01,
@@ -509,13 +523,27 @@ class TestLockstepKernel:
     @pytest.mark.parametrize("axis, init", [(0, (0.0, 0.6)), (1, (0.55, 0.0))])
     def test_zero_axis_stays_zero(self, scheme, axis, init):
         p = replace(STOCH, sigma1=0.3, sigma2=0.3)
-        blocks = sde_sim._lockstep(p, scheme, init, 16, 0, 0.01, 10.0)
-        for first, z in blocks:
-            # every row of the block: z[j] is the state at step first + j
-            zero, other = z[:, axis], z[:, 1 - axis]
+        for step, z in sde_sim._lockstep(p, scheme, *init, 16, 0, 0.01, 1000):
+            zero, other = z[axis], z[1 - axis]
             assert (zero == 0.0).all() and not np.signbit(zero).any()
             assert (other > 0.0).all()
-        assert first + len(z) - 1 == 1000
+        assert step == 1000
+
+    @pytest.mark.parametrize("scheme", [LOG_EULER, MILSTEIN])
+    def test_kept_states_are_scalar_paths(self, scheme):
+        # 1100 steps cross the chunk edges at 512 and 1024; every state
+        # yielded is kept, so none may be overwritten by a later step
+        seed0, n_paths, h, n = 5, 16, 0.01, 1100
+        kept = list(sde_sim._lockstep(STOCH, scheme, 0.55, 0.6, n_paths,
+                                      seed0, h, n))
+        assert [step for step, _ in kept] == list(range(n + 1))
+        states = np.array([z for _, z in kept])  # (step, species, path)
+        for i in range(n_paths):
+            sp = simulate_path(STOCH, (0.55, 0.6), scheme,
+                               make_noise(seed0 + i, h, n))
+            # not bit for bit: the kernel folds Milstein's bracket into the
+            # noise, and numpy's exp and math.exp may differ in the last bit
+            assert np.allclose(states[:, :, i], sp.states, rtol=1e-12, atol=0)
 
     def test_milstein_positivity_names_first_bad_path(self):
         # s2 * sqrt(h) > 1: a Milstein step can cross zero for some draws,
