@@ -9,6 +9,7 @@ simulation that cannot proceed, 2 internal consistency failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -66,12 +67,8 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
+    if hasattr(obj, "tolist"):  # numpy arrays and scalars
         return _jsonable(obj.tolist())
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj
@@ -79,6 +76,12 @@ def _jsonable(obj):
 
 def _dump(payload: dict) -> str:
     return json.dumps(_jsonable(payload), indent=2) + "\n"
+
+
+def _artifact(schema: str, **body) -> dict:
+    """A JSON artifact: the `lglab/<schema>` header, then the body."""
+    return {"schema": f"lglab/{schema}", "schema_version": SCHEMA_VERSION,
+            **body}
 
 
 def _build_params(args) -> ModelParams:
@@ -121,29 +124,19 @@ def analysis_report(p: ModelParams, want_hopf: bool = False) -> dict:
             except NoHopf as exc:
                 hopf.append({"x": e.x, "y": e.y, "error": str(exc)})
 
-    return {
-        "schema": "lglab/analysis-report",
-        "schema_version": SCHEMA_VERSION,
-        "params": p.to_dict(),
-        "trivial_equilibria": [e.to_dict() for e in trivial],
-        "interior_equilibria": [e.to_dict() for e in interior],
-        "count": {
-            "n_predicted": count_report.n_predicted,
-            "routh_sign_changes": count_report.routh_sign_changes,
-            "tong_delta": count_report.tong_delta,
-            "tong_product": count_report.tong_product,
-            "branch": count_report.branch,
-        },
-        "index": index,
-        "region": qualitative.invariant_region(p).to_dict(),
-        "qualitative": {
+    return _artifact(
+        "analysis-report", params=p.to_dict(),
+        trivial_equilibria=[e.to_dict() for e in trivial],
+        interior_equilibria=[e.to_dict() for e in interior],
+        count=dataclasses.asdict(count_report), index=index,
+        region=qualitative.invariant_region(p).to_dict(),
+        qualitative={
             "persistence": qualitative.persistence_report(p).to_dict(),
             "global_stability": qualitative.global_stability_condition(p).to_dict(),
             "no_cycle": [c.to_dict() for c in qualitative.no_cycle_conditions(p)],
             "stochastic_regime": qualitative.stochastic_regime(p).to_dict(),
         },
-        "hopf": hopf,
-    }
+        hopf=hopf)
 
 
 def cmd_analyze(args) -> int:
@@ -180,109 +173,100 @@ def cmd_ode(args) -> int:
             payload = report.to_dict()
         except Inconclusive as exc:
             payload = {"found": False, "inconclusive": str(exc)}
-        payload = {"schema": "lglab/cycle", "schema_version": SCHEMA_VERSION,
-                   **payload}
-        sys.stdout.write(_dump(payload))
+        sys.stdout.write(_dump(_artifact("cycle", **payload)))
     return 0
 
 
-def _histogram_json(counts, bins, overflow):
-    return {"bins": bins, "range": [0.0, sde_sim.HIST_RANGE],
+def _histogram_json(counts, overflow):
+    return {"bins": len(counts), "range": [0.0, sde_sim.HIST_RANGE],
             "counts": counts, "overflow": overflow}
 
 
-# sde flags that only some modes read; each defaults to None, so a flag
-# is given when it is not None (`--bins 0` included)
-_MODE_ONLY = {"comparison": ("path",), "shared_noise": ("path",),
-              "checkpoints": ("ensemble",), "target": ("hitting",),
-              "bins": ("ensemble", "stationary"),
-              "burn_in": ("ensemble", "stationary"), "t_cap": ("hitting",),
-              "paths": ("ensemble", "hitting"),
-              "t_max": ("path", "ensemble", "stationary")}
+# The flags each sde mode reads beyond the shared ones, with the default
+# an omitted one takes.  The parser leaves them all None, so a flag is
+# given when it is not None (`--bins 0` included); a mode refuses any given
+# flag that its row lacks.
+_SDE_MODES = {
+    "path": {"t_max": 100.0, "comparison": False, "shared_noise": False},
+    "ensemble": {"t_max": 100.0, "paths": 100, "bins": 50, "burn_in": 0.0,
+                 "checkpoints": None},
+    "stationary": {"t_max": 100.0, "bins": 50, "burn_in": 100.0},
+    "hitting": {"paths": 100, "t_cap": 500.0, "target": ""},
+}
+# `sde --help` prints the table, with the numeric defaults
+_SDE_EPILOG = "Each mode reads only its own flags (defaults): " + "; ".join(
+    f"{mode}: " + ", ".join(
+        "--" + dest.replace("_", "-")
+        + (f" {default:g}" if type(default) in (int, float) else "")
+        for dest, default in row.items())
+    for mode, row in _SDE_MODES.items()) + "."
 
 
 def cmd_sde(args) -> int:
     p = _build_params(args)
     scheme = sde_sim.MILSTEIN if args.scheme == "milstein" else sde_sim.LOG_EULER
+    start = (args.x0, args.y0)
 
-    for dest, modes in _MODE_ONLY.items():
-        if getattr(args, dest) is not None and args.mode not in modes:
-            flag = dest.replace("_", "-")
-            *rest, last = modes
+    row = _SDE_MODES[args.mode]
+    for dest in dict.fromkeys(d for r in _SDE_MODES.values() for d in r):
+        if dest not in row and getattr(args, dest) is not None:
+            *rest, last = [m for m, r in _SDE_MODES.items() if dest in r]
             own = f"{', '.join(rest)} and {last}" if rest else last
+            flag = dest.replace("_", "-")
             raise InvalidParams(f"--{flag} applies to sde {own} only")
-    bins = args.bins if args.bins is not None else 50  # ensemble, stationary
-    paths = args.paths if args.paths is not None else 100  # ensemble, hitting
-    t_max = args.t_max if args.t_max is not None else 100.0  # all but hitting
+    for dest, default in row.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+
     if args.mode == "path":
         if args.comparison and (scheme != sde_sim.LOG_EULER or args.shared_noise):
             raise InvalidParams("--comparison runs LogEuler on independent "
                                 "noise; drop --scheme milstein and --shared-noise")
         noise = sde_sim.make_noise(args.seed, args.h,
-                                   _horizon(args.h, t_max))
+                                   _horizon(args.h, args.t_max))
         if args.comparison:
-            path = sde_sim.comparison_bundle(p, (args.x0, args.y0), noise)
+            path = sde_sim.comparison_bundle(p, start, noise)
         else:
-            path = sde_sim.simulate_path(p, (args.x0, args.y0), scheme, noise,
-                                         shared_noise=bool(args.shared_noise))
+            path = sde_sim.simulate_path(p, start, scheme, noise,
+                                         shared_noise=args.shared_noise)
         buf = io.StringIO()
         sde_sim.write_path_csv(path, buf)
-        _atomic_write(args.out, buf.getvalue())
-        return 0
-
-    if args.mode == "ensemble":
+        text = buf.getvalue()
+    elif args.mode == "ensemble":
         checkpoints = ([float(t) for t in args.checkpoints.split(",")]
-                       if args.checkpoints else [t_max])
-        stats = sde_sim.ensemble(p, (args.x0, args.y0), scheme, paths,
-                                 args.seed, t_max, checkpoints,
-                                 h=args.h, burn_in=args.burn_in or 0.0,
-                                 bins=bins)
-        payload = {
-            "schema": "lglab/ensemble", "schema_version": SCHEMA_VERSION,
-            "n_paths": stats.n_paths,
-            "checkpoints": [
-                {"t": t, "mean": stats.mean[i], "var": stats.variance[i]}
-                for i, t in enumerate(stats.checkpoint_times)
-            ],
-            "extinction": {"x": stats.extinction_fraction_x,
-                           "y": stats.extinction_fraction_y},
-            "histogram": _histogram_json(stats.hist_counts, bins,
-                                         stats.hist_overflow),
-        }
-        _atomic_write(args.out, _dump(payload))
-        return 0
-
-    if args.mode == "stationary":
-        rep = sde_sim.stationary_histogram(
-            p, scheme, args.seed,
-            args.burn_in if args.burn_in is not None else 100.0, t_max,
-            bins=bins, h=args.h, init=(args.x0, args.y0))
-        payload = {
-            "schema": "lglab/stationary", "schema_version": SCHEMA_VERSION,
-            "regime": rep.regime, "regime_warning": rep.regime_warning,
-            "diagnostics": {"l1_half_vs_half": rep.l1_half_vs_half,
-                            "l1_cross_seed": rep.l1_cross_seed},
-            "histogram": _histogram_json(rep.counts, bins, rep.overflow),
-        }
-        _atomic_write(args.out, _dump(payload))
-        return 0
-
-    # hitting
-    try:
-        x_lo, x_hi, y_lo, y_hi = map(float, (args.target or "").split(","))
-    except ValueError:
-        raise InvalidParams("--target needs x_lo,x_hi,y_lo,y_hi") from None
-    target = qualitative.Region(x_lo, x_hi, y_lo, y_hi)
-    t_cap = args.t_cap if args.t_cap is not None else 500.0
-    rep = sde_sim.hitting_time(p, scheme, (args.x0, args.y0), target,
-                               paths, args.seed, t_cap, h=args.h)
-    payload = {
-        "schema": "lglab/hitting", "schema_version": SCHEMA_VERSION,
-        "mean": rep.mean, "median": rep.median,
-        "fraction_censored": rep.fraction_censored,
-        "n_paths": paths, "t_cap": t_cap,
-    }
-    _atomic_write(args.out, _dump(payload))
+                       if args.checkpoints else [args.t_max])
+        stats = sde_sim.ensemble(p, start, scheme, args.paths, args.seed,
+                                 args.t_max, checkpoints, h=args.h,
+                                 burn_in=args.burn_in, bins=args.bins)
+        text = _dump(_artifact(
+            "ensemble", n_paths=stats.n_paths,
+            checkpoints=[{"t": t, "mean": m, "var": v} for t, m, v in zip(
+                stats.checkpoint_times, stats.mean, stats.variance)],
+            extinction={"x": stats.extinction_fraction_x,
+                        "y": stats.extinction_fraction_y},
+            histogram=_histogram_json(stats.hist_counts, stats.hist_overflow)))
+    elif args.mode == "stationary":
+        rep = sde_sim.stationary_histogram(p, scheme, args.seed, args.burn_in,
+                                           args.t_max, bins=args.bins,
+                                           h=args.h, init=start)
+        text = _dump(_artifact(
+            "stationary", regime=rep.regime, regime_warning=rep.regime_warning,
+            diagnostics={"l1_half_vs_half": rep.l1_half_vs_half,
+                         "l1_cross_seed": rep.l1_cross_seed},
+            histogram=_histogram_json(rep.counts, rep.overflow)))
+    else:  # hitting
+        try:
+            x_lo, x_hi, y_lo, y_hi = map(float, args.target.split(","))
+        except ValueError:
+            raise InvalidParams("--target needs x_lo,x_hi,y_lo,y_hi") from None
+        target = qualitative.Region(x_lo, x_hi, y_lo, y_hi)
+        rep = sde_sim.hitting_time(p, scheme, start, target, args.paths,
+                                   args.seed, args.t_cap, h=args.h)
+        text = _dump(_artifact(
+            "hitting", mean=rep.mean, median=rep.median,
+            fraction_censored=rep.fraction_censored, n_paths=args.paths,
+            t_cap=args.t_cap))
+    _atomic_write(args.out, text)
     return 0
 
 
@@ -365,27 +349,28 @@ def _build_parser() -> argparse.ArgumentParser:
     po.set_defaults(func=cmd_ode)
 
     ps = sub.add_parser("sde", parents=[common, run],
-                        help="stochastic paths and statistics")
-    ps.add_argument("mode", choices=("path", "ensemble", "stationary", "hitting"))
+                        help="stochastic paths and statistics",
+                        epilog=_SDE_EPILOG)
+    ps.add_argument("mode", choices=tuple(_SDE_MODES))
     ps.add_argument("--scheme", choices=("milstein", "log-euler"),
                     default="log-euler")
     ps.add_argument("--h", type=float, default=1e-2)
     ps.add_argument("--seed", type=int, required=True,
                     help="explicit seed; stochastic runs have no implicit entropy")
     ps.add_argument("--paths", type=int, default=None,
-                    help="ensemble and hitting modes (default 100)")
+                    help="number of paths")
     ps.add_argument("--bins", type=int, default=None,
-                    help="ensemble and stationary modes (default 50)")
+                    help="histogram bins per axis")
     ps.add_argument("--checkpoints", default=None,
-                    help="comma-separated times (ensemble mode)")
+                    help="comma-separated times (default: t-max)")
     ps.add_argument("--comparison", action="store_true", default=None,
-                    help="path mode: include bracketing-process columns")
+                    help="include bracketing-process columns")
     ps.add_argument("--shared-noise", action="store_true", default=None,
                     help="drive the prey diffusion with the predator increments")
     ps.add_argument("--target", default=None,
-                    help="hitting mode: rectangle x_lo,x_hi,y_lo,y_hi")
+                    help="rectangle x_lo,x_hi,y_lo,y_hi")
     ps.add_argument("--t-cap", type=float, default=None,
-                    help="hitting mode (default 500)")
+                    help="censoring time of a path that never enters")
     ps.set_defaults(func=cmd_sde)
 
     pc = sub.add_parser("scan", parents=[common], help="one-parameter sweep CSV")

@@ -11,15 +11,15 @@ pieces of R, must agree with that prediction.  Classification uses the
 negative trace s, determinant p and discriminant s^2 - 4p of the Jacobian,
 with documented fallbacks for the semi-hyperbolic and nilpotent cases.
 The first Lyapunov coefficient at a Hopf point is built from closed-form
-second and third partials of the field, so numpy is the only dependency.
+second and third partials of the field; the module needs only the
+standard library.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .errors import (
     NoHopf,
@@ -44,7 +44,7 @@ TOPOLOGICAL_SADDLE = "TopologicalSaddle"
 ATTRACTING_TOPOLOGICAL_NODE = "AttractingTopologicalNode"
 
 HYPERBOLIC_EPS = 1e-9
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 
 _INDEX = {
     SADDLE: -1,
@@ -124,7 +124,8 @@ def cubic_coefficients(p: ModelParams) -> CubicCoeffs:
 
 
 def _sign_changes(seq):
-    signs = [s for s in (np.sign(v) for v in seq) if s != 0]
+    # a NaN entry counts as a sign of its own, unequal to any other
+    signs = [v if math.isnan(v) else v > 0 for v in seq if v != 0]
     return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
 

@@ -246,6 +246,8 @@ def detect_limit_cycle(p: ModelParams, traj: Trajectory,
 
 def long_run_bounds(traj: Trajectory, tail_fraction: float = 0.2) -> LongRunBounds:
     """Componentwise min/max over the final tail_fraction of the trajectory."""
+    if not 0.0 < tail_fraction <= 1.0:
+        raise ValueError(f"tail_fraction must lie in (0, 1], got {tail_fraction}")
     n = len(traj.times)
     start = int(n * (1.0 - tail_fraction))
     tail = traj.states[start:]

@@ -186,13 +186,15 @@ def stochastic_regime(p: ModelParams) -> RegimeCertificate:
     s1sq, s2sq = p.sigma1 ** 2, p.sigma2 ** 2
     witness = {"sigma1_sq": s1sq, "sigma2_sq": s2sq,
                "two_b": 2.0 * p.b, "m": p.m}
-    if s1sq == 0.0 and s2sq == 0.0:
+    # noise is on when an intensity is, even if its square underflows
+    if p.deterministic:
         return RegimeCertificate(True, DETERMINISTIC, witness)
     if s1sq >= 2.0 and s2sq >= 2.0 * p.b:
         return RegimeCertificate(True, FULL_EXTINCTION, witness)
-    if s1sq >= 2.0 and 0.0 < s2sq < 2.0 * p.b:
+    if s1sq >= 2.0 and 0.0 < p.sigma2 and s2sq < 2.0 * p.b:
         return RegimeCertificate(True, PREY_EXTINCTION_PREDATOR_STATIONARY,
                                  witness)
-    if 0.0 < s1sq < 2.0 and 0.0 < s2sq < 2.0 * p.b and p.m > 0:
+    if (0.0 < p.sigma1 and s1sq < 2.0 and 0.0 < p.sigma2 and s2sq < 2.0 * p.b
+            and p.m > 0):
         return RegimeCertificate(True, STATIONARY, witness)
     return RegimeCertificate(False, UNDETERMINED, witness)

@@ -3,10 +3,11 @@ import re
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
 from lglab import ode_sim
-from lglab.cli import _build_parser, main
+from lglab.cli import _SDE_MODES, _build_parser, _dump, main
 
 THREE = ["--a", "0.5", "--b", "0.1", "--k1", "0.08", "--k2", "0.2",
          "--m", "0.0025"]
@@ -396,6 +397,49 @@ class TestSde:
                                  "--target", target])
         assert_one_error(code, out, "region needs x_lo <= x_hi and "
                          f"y_lo < y_hi, got {shown}")
+
+
+class TestModeTable:
+    @pytest.mark.parametrize("mode", list(_SDE_MODES))
+    def test_mode_flags_parse_to_none_when_omitted(self, mode):
+        # a mode-only flag counts as given exactly when it is not None
+        args = _build_parser().parse_args(["sde", mode, "--seed", "1"])
+        for dest in {dest for row in _SDE_MODES.values() for dest in row}:
+            assert getattr(args, dest) is None, dest
+
+    @pytest.mark.parametrize("mode, flags, default", [
+        ("ensemble", ["--paths", "4", "--t-max", "1"], ["--burn-in", "0"]),
+        ("stationary", ["--t-max", "101", "--h", "0.1"], ["--burn-in", "100"]),
+        ("path", ["--h", "0.1"], ["--t-max", "100"]),
+        ("ensemble", ["--paths", "4", "--h", "0.1"], ["--t-max", "100"]),
+        ("stationary", ["--burn-in", "0", "--h", "0.1"], ["--t-max", "100"]),
+    ])
+    def test_omitted_flag_writes_its_default(self, capsys, mode, flags,
+                                             default):
+        argv = ["sde", mode, *STOCH, "--seed", "1", *flags]
+        omitted = run(capsys, argv)
+        assert omitted[0] == 0, omitted[1].err
+        assert run(capsys, [*argv, *default]) == omitted
+
+    def test_help_lists_each_mode_with_its_defaults(self, capsys,
+                                                    monkeypatch):
+        monkeypatch.setenv("COLUMNS", "1000")  # one unwrapped line
+        with pytest.raises(SystemExit):
+            main(["sde", "--help"])
+        assert (
+            "path: --t-max 100, --comparison, --shared-noise; "
+            "ensemble: --t-max 100, --paths 100, --bins 50, --burn-in 0, "
+            "--checkpoints; stationary: --t-max 100, --bins 50, "
+            "--burn-in 100; hitting: --paths 100, --t-cap 500, --target."
+        ) in capsys.readouterr().out
+
+
+def test_non_finite_numpy_scalars_dump_as_null():
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    text = _dump({"a": np.float64("nan"), "b": [np.float32("inf")]})
+    assert json.loads(text, parse_constant=refuse) == {"a": None, "b": [None]}
 
 
 class TestParser:

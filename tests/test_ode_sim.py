@@ -253,6 +253,14 @@ class TestBounds:
         with pytest.raises(TooShort):
             long_run_bounds(traj, tail_fraction=0.1)
 
+    @pytest.mark.parametrize("tail_fraction", [2.0, 0.0, -1.0, math.nan])
+    def test_tail_fraction_outside_unit_interval(self, tail_fraction):
+        traj = integrate(STOCH_FIG, (1.0, 0.0), RK4, h=0.01, t_max=100.0)
+        with pytest.raises(ValueError, match=r"tail_fraction must lie in \(0, 1\]"):
+            long_run_bounds(traj, tail_fraction=tail_fraction)
+        # the closed end bounds the whole trajectory
+        assert long_run_bounds(traj, tail_fraction=1.0).limsup_x == 1.0
+
     def test_tail_inside_attracting_region(self):
         r = invariant_region(STOCH_FIG)
         traj = integrate(STOCH_FIG, (0.55, 0.6), RK4, h=1e-2, t_max=500.0)

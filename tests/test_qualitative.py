@@ -174,3 +174,31 @@ class TestStochasticRegime:
         above = stochastic_regime(ModelParams(**base, sigma1=1.42))
         assert below.clause == "Stationary"
         assert above.clause == "PreyExtinctionPredatorStationary"
+
+    def test_underflowing_intensities_are_noise(self):
+        # sigma^2 underflows to 0, but the noise is on
+        p = ModelParams(a=0.5, b=0.1, k1=0.08, k2=0.2, m=0.0025,
+                        sigma1=1e-200, sigma2=1e-200)
+        assert not p.deterministic
+        assert stochastic_regime(p).clause == "Stationary"
+
+    @settings(max_examples=300, deadline=None)
+    @given(s1=st.one_of(st.just(0.0), st.floats(1e-150, 3.0)),
+           s2=st.one_of(st.just(0.0), st.floats(1e-150, 3.0)),
+           b=st.floats(0.01, 3.0), m=st.sampled_from([0.0, 0.01]))
+    def test_squares_that_do_not_underflow_keep_their_label(self, s1, s2, b, m):
+        # the labels read off the squares alone, which the intensities
+        # must agree with whenever no square underflows
+        def on_squares(s1sq, s2sq):
+            if s1sq == 0.0 and s2sq == 0.0:
+                return "Deterministic"
+            if s1sq >= 2.0 and s2sq >= 2.0 * b:
+                return "FullExtinction"
+            if s1sq >= 2.0 and 0.0 < s2sq < 2.0 * b:
+                return "PreyExtinctionPredatorStationary"
+            if 0.0 < s1sq < 2.0 and 0.0 < s2sq < 2.0 * b and m > 0:
+                return "Stationary"
+            return "Undetermined"
+
+        p = ModelParams(a=1, b=b, k1=0.1, k2=0.1, m=m, sigma1=s1, sigma2=s2)
+        assert stochastic_regime(p).clause == on_squares(s1 ** 2, s2 ** 2)
