@@ -136,11 +136,17 @@ def count_interior_equilibria(p: ModelParams) -> CountReport:
     real part and Tong's criterion decides how many are real; the boundary
     case R(x'min)*R(x'max) = 0 yields a double root (2 distinct equilibria).
     For m = 0 the cubic degenerates to X times a quadratic and the count
-    follows from its discriminant and Vieta signs.
+    follows from its discriminant and Vieta signs.  Raises NumericalFailure
+    when a coefficient or Tong's delta overflows, since no count taken over
+    an inf or NaN can be trusted.
     """
     c = cubic_coefficients(p)
     a2, a1, a0 = c.alpha2, c.alpha1, c.alpha0
     tong_delta = a2 * a2 - 3.0 * a1
+    if not all(map(math.isfinite, (a2, a1, a0, tong_delta))):
+        raise NumericalFailure(
+            f"the equilibrium cubic is not finite: alpha2={a2}, alpha1={a1}, "
+            f"alpha0={a0}, tong_delta={tong_delta}")
 
     if a2 != 0.0:
         routh = _sign_changes((1.0, a2, a1 - a0 / a2, a0))
@@ -210,15 +216,15 @@ def find_interior_equilibria(p: ModelParams) -> list[Equilibrium]:
     critical point is reported once with multiplicity 2.  Results are sorted
     by x and already passed through classify.
     """
+    count = count_interior_equilibria(p)
     c = cubic_coefficients(p)
     scale = max(1.0, abs(c.alpha2), abs(c.alpha1), abs(c.alpha0))
     res_tol = 1e-12 * scale
     lo, hi = 0.0, 1.0 - p.m
 
     breakpoints = [lo, hi]
-    tong_delta = c.alpha2 ** 2 - 3.0 * c.alpha1
-    if tong_delta > 0.0:
-        r = math.sqrt(tong_delta)
+    if count.tong_delta > 0.0:
+        r = math.sqrt(count.tong_delta)
         for Xc in ((-c.alpha2 - r) / 3.0, (-c.alpha2 + r) / 3.0):
             if lo < Xc < hi:
                 breakpoints.append(Xc)
@@ -247,8 +253,7 @@ def find_interior_equilibria(p: ModelParams) -> list[Equilibrium]:
     # a critical point that the sign-based count rejects (the cubic grazes
     # zero without or while also crossing); the count is the authority, so
     # shed surplus critical-point roots, worst residual first
-    n_predicted = count_interior_equilibria(p).n_predicted
-    while len(deduped) > n_predicted:
+    while len(deduped) > count.n_predicted:
         doubles = [(abs(c.value(X)), i) for i, (X, mult) in enumerate(deduped)
                    if mult == 2]
         if not doubles:

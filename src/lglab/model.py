@@ -171,7 +171,8 @@ def _field_batch(a, b, k1, k2, m, x, y, out=(None, None), work=(None, None)):
 
     out = (v1, v2) and work are optional pairs of arrays of the broadcast
     shape that receive the result and the intermediates, so a caller in a
-    loop allocates nothing; without them every operation allocates.  The
+    loop allocates nothing; without them every operation allocates.  A
+    (2, n) array serves as either pair, its rows unpacking as the two.  The
     operation order is that of _field_scalar either way.
     """
     o1, o2 = out

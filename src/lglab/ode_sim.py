@@ -74,20 +74,19 @@ def _clamp(v: float, k: int) -> float:
                        step_index=k)
 
 
-def _clamp_rows(x: np.ndarray, y: np.ndarray, k: int) -> None:
-    """integrate's rule for batch states after step k, in place: the first
-    system integrate would stop on raises NonFinite or StepTooLarge, else
-    undershoots within round-off become 0.0 (a -0.0 stays)."""
-    finite = np.isfinite(x) & np.isfinite(y)
-    bad = ~finite | (x < -_UNDERSHOOT) | (y < -_UNDERSHOOT)
+def _clamp_rows(z: np.ndarray, k: int) -> None:
+    """integrate's rule for a (2, n) batch state after step k, in place: the
+    first system integrate would stop on raises NonFinite or StepTooLarge,
+    else undershoots within round-off become 0.0 (a -0.0 stays)."""
+    finite = np.isfinite(z).all(axis=0)
+    bad = ~finite | (z < -_UNDERSHOOT).any(axis=0)
     if bad.any():
         i = int(np.argmax(bad))
         if not finite[i]:
             raise NonFinite(f"non-finite state at step {k} in system {i}")
         raise StepTooLarge(f"state left the closed quadrant at step {k} "
                            f"in system {i}", step_index=k)
-    x[x < 0.0] = 0.0
-    y[y < 0.0] = 0.0
+    z[z < 0.0] = 0.0
 
 
 def integrate(p: ModelParams, init, scheme: str = RK4, h: float = 1e-3,
@@ -148,12 +147,13 @@ def integrate_batch(a, b, k1, k2, m, init, h: float, n_steps: int,
                     tail_start: int = 0):
     """RK4 for many systems in lockstep; returns final states and tail bounds.
 
-    All parameter arguments broadcast against init[:, 0].  Only running
-    min/max over steps >= tail_start are kept (plus the final state), so
-    memory stays flat no matter how long the run is.  Each step applies
-    integrate's domain rule to every system (see _clamp_rows); a +inf that
-    never turns negative or NaN is caught after the last step.  Inputs are
-    checked before the first step, with the errors integrate and
+    init is an (n, 2) array of starts with n >= 1, stepped as one (2, n)
+    state; all parameter arguments broadcast against init[:, 0].  Only
+    running min/max over steps >= tail_start are kept (plus the final
+    state), so memory stays flat no matter how long the run is.  Each step
+    applies integrate's domain rule to every system (see _clamp_rows); a
+    +inf that never turns negative or NaN is caught after the last step.
+    Inputs are checked before the first step, with the errors integrate and
     ModelParams raise.
     """
     _check_h(h)
@@ -161,33 +161,30 @@ def integrate_batch(a, b, k1, k2, m, init, h: float, n_steps: int,
         raise ValueError("need 0 <= tail_start <= n_steps")
     for extreme in (np.min, np.max):  # every system passes if these do
         ModelParams(*(float(extreme(v)) for v in (a, b, k1, k2, m)))
-    x = np.array(init[:, 0], dtype=float)
-    y = np.array(init[:, 1], dtype=float)
-    _check_state(x, y)
+    init = np.asarray(init, dtype=float)
+    if init.ndim != 2 or init.shape[1] != 2 or len(init) < 1:
+        raise ValueError("init must be an (n, 2) array with n >= 1")
+    z = init.T.copy()  # C order: one row per species
+    _check_state(*z)
     h2, h6 = 0.5 * h, h / 6.0
-    min_x = np.full_like(x, np.inf)
-    max_x = np.full_like(x, -np.inf)
-    min_y = np.full_like(x, np.inf)
-    max_y = np.full_like(x, -np.inf)
+    f1, f2, f3, f4, work = (np.empty_like(z) for _ in range(5))
+    lo = np.full_like(z, np.inf)
+    hi = np.full_like(z, -np.inf)
     if tail_start == 0:
-        np.minimum(min_x, x, out=min_x); np.maximum(max_x, x, out=max_x)
-        np.minimum(min_y, y, out=min_y); np.maximum(max_y, y, out=max_y)
+        np.minimum(lo, z, out=lo); np.maximum(hi, z, out=hi)
     for k in range(n_steps):
-        a1, b1 = _field_batch(a, b, k1, k2, m, x, y)
-        a2, b2 = _field_batch(a, b, k1, k2, m, x + h2 * a1, y + h2 * b1)
-        a3, b3 = _field_batch(a, b, k1, k2, m, x + h2 * a2, y + h2 * b2)
-        a4, b4 = _field_batch(a, b, k1, k2, m, x + h * a3, y + h * b3)
-        x = x + h6 * (a1 + 2.0 * (a2 + a3) + a4)
-        y = y + h6 * (b1 + 2.0 * (b2 + b3) + b4)
-        if not (x.min() >= 0.0 and y.min() >= 0.0):  # also catches NaN
-            _clamp_rows(x, y, k + 1)
+        _field_batch(a, b, k1, k2, m, *z, out=f1, work=work)
+        _field_batch(a, b, k1, k2, m, *(z + h2 * f1), out=f2, work=work)
+        _field_batch(a, b, k1, k2, m, *(z + h2 * f2), out=f3, work=work)
+        _field_batch(a, b, k1, k2, m, *(z + h * f3), out=f4, work=work)
+        z = z + h6 * (f1 + 2.0 * (f2 + f3) + f4)
+        if not z.min() >= 0.0:  # also catches NaN
+            _clamp_rows(z, k + 1)
         if k + 1 >= tail_start:
-            np.minimum(min_x, x, out=min_x); np.maximum(max_x, x, out=max_x)
-            np.minimum(min_y, y, out=min_y); np.maximum(max_y, y, out=max_y)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            np.minimum(lo, z, out=lo); np.maximum(hi, z, out=hi)
+    if not np.isfinite(z).all():
         raise NonFinite("non-finite state in batch integration")
-    final = np.column_stack([x, y])
-    return final, (min_x, max_x, min_y, max_y)
+    return z.T.copy(), (lo[0], hi[0], lo[1], hi[1])
 
 
 def detect_limit_cycle(p: ModelParams, traj: Trajectory,

@@ -119,6 +119,21 @@ class TestAnalyze:
         assert code == 0, out.err
         assert len(json.loads(out.out)["interior_equilibria"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--a", "0.5", "--b", "0.1", "--k1", "1e308",
+         "--k2", "0.2"],
+        ["analyze", "--a", "1e200", "--b", "0.1", "--k1", "0.08",
+         "--k2", "0.2", "--m", "0.1"],
+        ["scan", *THREE, "--scan", "k1", "--from", "0.08", "--to", "1e308",
+         "--steps", "2"],
+    ])
+    def test_overflowing_cubic_is_exit_1(self, capsys, argv):
+        # finite parameters whose cubic overflows: one line, no traceback
+        code, out = run(capsys, argv)
+        assert (code, out.out) == (1, "")
+        assert out.err.startswith("error: the equilibrium cubic is not finite")
+        assert out.err.count("\n") == 1
+
 
 class TestOde:
     def test_fixed_point_csv(self, capsys, tmp_path):

@@ -15,6 +15,7 @@ from lglab import (
     NoHopf,
     NonHyperbolicPresent,
     NotAnEquilibrium,
+    NumericalFailure,
     classify,
     count_interior_equilibria,
     cubic_coefficients,
@@ -97,6 +98,16 @@ class TestCubic:
             assert len(eqs) == n
             seen.add(n)
         assert seen in ({1, 3}, {1, 2}, {2, 3}, {2})
+
+    @pytest.mark.parametrize("p", [
+        ModelParams(a=0.5, b=0.1, k1=1e308, k2=0.2),  # 0 * inf in alpha1
+        ModelParams(a=1e200, b=0.1, k1=0.08, k2=0.2, m=0.1),  # alpha2^2
+    ])
+    def test_overflowing_cubic_refused(self, p):
+        with pytest.raises(NumericalFailure, match="cubic is not finite"):
+            count_interior_equilibria(p)
+        with pytest.raises(NumericalFailure, match="cubic is not finite"):
+            find_interior_equilibria(p)
 
 
 class TestFind:

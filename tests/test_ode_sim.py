@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lglab import (
     Inconclusive,
@@ -152,6 +154,35 @@ class TestIntegrate:
         if error is StepTooLarge:
             assert got.value.step_index == k
 
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_rows=st.integers(2, 9),
+           n_steps=st.integers(0, 40), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_batch_rows_are_independent(self, seed, n_rows, n_steps, data):
+        # a row's result depends on its own parameters and start only:
+        # permuting the rows permutes the results, and two halves run apart
+        # concatenate to the whole, bit for bit
+        rng = np.random.default_rng(seed)
+        rows = [random_params(rng) for _ in range(n_rows)]
+        cols = [np.array([getattr(p, n) for p in rows])
+                for n in ("a", "b", "k1", "k2", "m")]
+        init = rng.uniform(0.0, 1.2, (n_rows, 2))
+        tail_start = data.draw(st.integers(0, n_steps))
+
+        def run(idx):
+            final, bounds = integrate_batch(*(c[idx] for c in cols),
+                                            init[idx], 1e-2, n_steps,
+                                            tail_start=tail_start)
+            return [final, *bounds]
+
+        whole = run(np.arange(n_rows))
+        perm = rng.permutation(n_rows)
+        assert [v.tobytes() for v in run(perm)] == [
+            v[perm].tobytes() for v in whole]
+        cut = data.draw(st.integers(1, n_rows - 1))
+        halves = zip(run(np.arange(cut)), run(np.arange(cut, n_rows)))
+        assert [np.concatenate(pair).tobytes() for pair in halves] == [
+            v.tobytes() for v in whole]
+
 
 class TestBatchValidation:
     # each input is refused once, before any step, with the error and the
@@ -172,6 +203,15 @@ class TestBatchValidation:
     def test_h_not_positive(self, h):
         with pytest.raises(ValueError, match="need h > 0"):
             self.run(h=h)
+
+    @pytest.mark.parametrize("init", [
+        np.empty((0, 2)), np.array([0.4, 0.5]), np.array([[0.4, 0.5, 0.3]]),
+        np.zeros((1, 2, 2)),
+    ], ids=["empty", "1-d", "three-columns", "3-d"])
+    @pytest.mark.parametrize("n_steps", [0, 10])
+    def test_init_not_n_by_2(self, init, n_steps):
+        with pytest.raises(ValueError, match=r"init must be an \(n, 2\)"):
+            self.run(init=init, n_steps=n_steps)
 
     def test_negative_initial_state(self):
         with pytest.raises(ValueError, match="closed quadrant"):
