@@ -156,6 +156,9 @@ def cmd_ode(args) -> int:
     if args.detect_cycle:
         burn = args.burn_in if args.burn_in is not None else 0.5 * t_max
         _check_burn_in(burn)  # before the CSV is written
+        if args.out == "-":
+            raise InvalidParams("--detect-cycle writes its report to stdout; "
+                                "give the CSV a file with --out FILE")
     elif args.burn_in is not None:
         raise InvalidParams("--burn-in applies to ode --detect-cycle only")
     traj = ode_sim.integrate(p, (args.x0, args.y0), scheme=scheme,

@@ -237,8 +237,6 @@ def find_interior_equilibria(p: ModelParams) -> list[Equilibrium]:
             roots.append((Xc, 2))
     for left, right in zip(breakpoints, breakpoints[1:]):
         fl, fr = c.value(left), c.value(right)
-        if fl == 0.0 and left > lo:
-            continue  # already caught as a critical-point root
         if fl * fr < 0.0:
             roots.append((_root_in_bracket(c, left, right), 1))
 

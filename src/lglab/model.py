@@ -21,6 +21,15 @@ import numpy as np
 from .errors import InvalidParams, KinkPoint
 
 _MODEL_FIELDS = ("a", "b", "k1", "k2", "m", "sigma1", "sigma2")
+_BOOLEANS = frozenset((bool, np.bool_))
+
+
+def _refuse_booleans(record) -> None:
+    """0 < True holds, so a boolean field would pass a record's range checks."""
+    fields = vars(record)
+    if not _BOOLEANS.isdisjoint(map(type, fields.values())):
+        name = next(n for n, v in fields.items() if type(v) in _BOOLEANS)
+        raise InvalidParams(f"{name} must be a number, not a boolean")
 
 
 @dataclass(frozen=True)
@@ -42,6 +51,7 @@ class RawParams:
     mu: float = 0.0
 
     def __post_init__(self):
+        _refuse_booleans(self)
         for name in ("rho1", "rho2", "beta", "alpha1", "alpha2", "kappa1", "kappa2"):
             if not 0 < getattr(self, name) < math.inf:
                 raise InvalidParams(f"{name} must be strictly positive and finite")
@@ -62,6 +72,7 @@ class ModelParams:
     sigma2: float = 0.0
 
     def __post_init__(self):
+        _refuse_booleans(self)
         for name in ("a", "b", "k1", "k2"):
             if not 0 < getattr(self, name) < math.inf:
                 raise InvalidParams(f"{name} must be strictly positive and finite")

@@ -1,7 +1,8 @@
 """Deterministic integration: forward Euler, classical RK4, cycle detection.
 
-The Euler branch is kept as a plain recursion so that step k+1 depends on
-step k through exactly one multiply-add per term — this makes the scheme
+Both schemes step in one loop in which only the increment differs.  The
+Euler increment is a plain recursion, so that step k+1 depends on step k
+through exactly one multiply-add per term — this makes the scheme
 reproducible bit-for-bit and lets the noise-free stochastic scheme collapse
 onto it.  RK4 is the workhorse for analysis.  A vectorized batch integrator
 runs many (parameter, initial state) pairs in lockstep for the statistical
@@ -66,12 +67,17 @@ class LongRunBounds:
     limsup_y: float
 
 
-def _clamp(v: float, k: int) -> float:
-    """0 for a state v < 0 within round-off of the axis; raises otherwise."""
-    if v >= -_UNDERSHOOT:
-        return 0.0
-    raise StepTooLarge(f"state left the closed quadrant at step {k}",
-                       step_index=k)
+def _settle(x: float, y: float, k: int) -> tuple[float, float]:
+    """integrate's domain rule for a state (x, y) after step k outside the
+    finite closed quadrant: NonFinite if a coordinate is not finite, else
+    StepTooLarge for an undershoot beyond round-off, else undershoots
+    within round-off become 0.0 (a -0.0 stays)."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise NonFinite(f"non-finite state at step {k}")
+    if min(x, y) < -_UNDERSHOOT:
+        raise StepTooLarge(f"state left the closed quadrant at step {k}",
+                           step_index=k)
+    return max(x, 0.0), max(y, 0.0)
 
 
 def _clamp_rows(z: np.ndarray, k: int) -> None:
@@ -101,42 +107,27 @@ def integrate(p: ModelParams, init, scheme: str = RK4, h: float = 1e-3,
     n = _horizon(h, t_max)
     x, y = float(init[0]), float(init[1])
     _check_state(x, y)
+    if scheme not in (EULER, RK4):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    rk4 = scheme == RK4
     a, b, k1, k2, m = p.a, p.b, p.k1, p.k2, p.m
+    h2, h6, inf = 0.5 * h, h / 6.0, math.inf
     xs, ys = [x], [y]
-
-    if scheme == EULER:
-        for k in range(1, n + 1):
-            v1, v2 = _field_scalar(a, b, k1, k2, m, x, y)
-            x = x + v1 * h
-            y = y + v2 * h
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise NonFinite(f"non-finite state at step {k}")
-            if x < 0.0:
-                x = _clamp(x, k)
-            if y < 0.0:
-                y = _clamp(y, k)
-            xs.append(x)
-            ys.append(y)
-    elif scheme == RK4:
-        h2 = 0.5 * h
-        h6 = h / 6.0
-        for k in range(1, n + 1):
-            a1, b1 = _field_scalar(a, b, k1, k2, m, x, y)
-            a2, b2 = _field_scalar(a, b, k1, k2, m, x + h2 * a1, y + h2 * b1)
+    for k in range(1, n + 1):
+        v1, v2 = _field_scalar(a, b, k1, k2, m, x, y)
+        if rk4:
+            a2, b2 = _field_scalar(a, b, k1, k2, m, x + h2 * v1, y + h2 * v2)
             a3, b3 = _field_scalar(a, b, k1, k2, m, x + h2 * a2, y + h2 * b2)
             a4, b4 = _field_scalar(a, b, k1, k2, m, x + h * a3, y + h * b3)
-            x = x + h6 * (a1 + 2.0 * (a2 + a3) + a4)
-            y = y + h6 * (b1 + 2.0 * (b2 + b3) + b4)
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise NonFinite(f"non-finite state at step {k}")
-            if x < 0.0:
-                x = _clamp(x, k)
-            if y < 0.0:
-                y = _clamp(y, k)
-            xs.append(x)
-            ys.append(y)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+            x = x + h6 * (v1 + 2.0 * (a2 + a3) + a4)
+            y = y + h6 * (v2 + 2.0 * (b2 + b3) + b4)
+        else:
+            x = x + v1 * h
+            y = y + v2 * h
+        if not (0.0 <= x < inf and 0.0 <= y < inf):
+            x, y = _settle(x, y, k)
+        xs.append(x)
+        ys.append(y)
 
     states = np.column_stack([xs, ys])
     times = np.arange(n + 1) * h
@@ -148,13 +139,14 @@ def integrate_batch(a, b, k1, k2, m, init, h: float, n_steps: int,
     """RK4 for many systems in lockstep; returns final states and tail bounds.
 
     init is an (n, 2) array of starts with n >= 1, stepped as one (2, n)
-    state; all parameter arguments broadcast against init[:, 0].  Only
-    running min/max over steps >= tail_start are kept (plus the final
-    state), so memory stays flat no matter how long the run is.  Each step
-    applies integrate's domain rule to every system (see _clamp_rows); a
-    +inf that never turns negative or NaN is caught after the last step.
-    Inputs are checked before the first step, with the errors integrate and
-    ModelParams raise.
+    state; each parameter argument is a scalar or holds one value per
+    system.  Only running min/max over steps >= tail_start are kept (plus
+    the final state), so memory stays flat no matter how long the run is.
+    Each step applies integrate's domain rule to every system (see
+    _clamp_rows); a +inf that never turns negative or NaN is caught after
+    the last step.  Inputs are checked before the first step, with the
+    errors integrate and ModelParams raise; a parameter of another shape
+    raises ValueError naming it.
     """
     _check_h(h)
     if not 0 <= tail_start <= n_steps:
@@ -164,6 +156,10 @@ def integrate_batch(a, b, k1, k2, m, init, h: float, n_steps: int,
     init = np.asarray(init, dtype=float)
     if init.ndim != 2 or init.shape[1] != 2 or len(init) < 1:
         raise ValueError("init must be an (n, 2) array with n >= 1")
+    for name, v in zip(("a", "b", "k1", "k2", "m"), (a, b, k1, k2, m)):
+        if np.ndim(v) > 1 or np.size(v) not in (1, len(init)):
+            raise ValueError(f"{name} must be a scalar or hold one value "
+                             f"per system, shape ({len(init)},)")
     z = init.T.copy()  # C order: one row per species
     _check_state(*z)
     h2, h6 = 0.5 * h, h / 6.0

@@ -145,34 +145,30 @@ def _advance(p: ModelParams, scheme: str, h: float, g1s, g2s, xs, ys):
     a positive component to <= 0; the states before it are appended.
     """
     x, y = xs[-1], ys[-1]
+    if scheme not in (MILSTEIN, LOG_EULER):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    milstein = scheme == MILSTEIN
     a, b, k1, k2, m = p.a, p.b, p.k1, p.k2, p.m
     s1, s2 = p.sigma1, p.sigma2
     sqh = math.sqrt(h)
-    if scheme == MILSTEIN:
-        c1 = 0.5 * s1 * s1
-        c2 = 0.5 * s2 * s2
-        for k, (g1, g2) in enumerate(zip(g1s, g2s), 1):
-            v1, v2 = _field_scalar(a, b, k1, k2, m, x, y)
+    c1 = 0.5 * s1 * s1
+    c2 = 0.5 * s2 * s2
+    first = len(xs)
+    for g1, g2 in zip(g1s, g2s):
+        v1, v2 = _field_scalar(a, b, k1, k2, m, x, y)
+        if milstein:
             xn = x + (v1 * h + s1 * x * sqh * g1 + c1 * x * (h * g1 * g1 - h))
             yn = y + (v2 * h + s2 * y * sqh * g2 + c2 * y * (h * g2 * g2 - h))
             if (xn <= 0.0 < x) or (yn <= 0.0 < y):
-                return k
+                return len(xs) - first + 1
             x, y = xn, yn
-            xs.append(x)
-            ys.append(y)
-    elif scheme == LOG_EULER:
-        d1 = 0.5 * s1 * s1
-        d2 = 0.5 * s2 * s2
-        for g1, g2 in zip(g1s, g2s):
-            v1, v2 = _field_scalar(a, b, k1, k2, m, x, y)
+        else:
             if x > 0.0:
-                x = x * math.exp((v1 / x - d1) * h + s1 * sqh * g1)
+                x = x * math.exp((v1 / x - c1) * h + s1 * sqh * g1)
             if y > 0.0:
-                y = y * math.exp((v2 / y - d2) * h + s2 * sqh * g2)
-            xs.append(x)
-            ys.append(y)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+                y = y * math.exp((v2 / y - c2) * h + s2 * sqh * g2)
+        xs.append(x)
+        ys.append(y)
     return None
 
 
@@ -343,12 +339,13 @@ def _check_bins(bins: int) -> None:
 
 def _bin2d(x, y, bins: int) -> tuple[np.ndarray, int]:
     """Counts of the points (x, y) on the [0, HIST_RANGE)^2 grid, and how
-    many points fall outside it."""
+    many points fall outside it.  A coordinate just below HIST_RANGE whose
+    quotient rounds up to bins goes in the last bin."""
     w = HIST_RANGE / bins
     inside = (x < HIST_RANGE) & (y < HIST_RANGE)
     counts = np.zeros((bins, bins), dtype=np.int64)
-    np.add.at(counts, (np.floor(x[inside] / w).astype(int),
-                       np.floor(y[inside] / w).astype(int)), 1)
+    np.add.at(counts, tuple(np.minimum(np.floor(v[inside] / w).astype(int),
+                                       bins - 1) for v in (x, y)), 1)
     return counts, int((~inside).sum())
 
 

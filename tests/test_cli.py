@@ -87,6 +87,16 @@ class TestAnalyze:
         assert out.err.startswith("error: bad parameter record {")
         assert out.err.count("\n") == 1 and field in out.err
 
+    @pytest.mark.parametrize("params, field", [
+        ('{"a": true, "b": 0.1, "k1": 0.08, "k2": 0.2}', "a"),
+        ('{"a": 0.5, "b": 0.1, "k1": 0.08, "k2": 0.2, "sigma2": false}',
+         "sigma2"),
+    ])
+    def test_boolean_param_is_exit_1(self, capsys, params, field):
+        # 0 < true holds, but the report schema wants numbers
+        code, out = run(capsys, ["analyze", "--params", params])
+        assert_one_error(code, out, f"{field} must be a number, not a boolean")
+
     def test_raw_file_with_override(self, capsys, tmp_path):
         f = tmp_path / "r.json"
         f.write_text(json.dumps({"rho1": 2.0, "rho2": 0.5, "beta": 0.4,
@@ -190,6 +200,14 @@ class TestOde:
         code, out = run(capsys, ["ode", *THREE, "--h", "0.01", "--t-max", "10",
                                  "--detect-cycle", "--burn-in", burn_in])
         assert_one_error(code, out, "burn_in must be >= 0")
+
+    @pytest.mark.parametrize("out", [[], ["--out", "-"]])
+    def test_detect_cycle_to_stdout_is_exit_1(self, capsys, out):
+        # the CSV and the cycle report would share stdout
+        code, res = run(capsys, ["ode", *THREE, "--h", "0.01", "--t-max", "10",
+                                 "--detect-cycle", *out])
+        assert_one_error(code, res, "--detect-cycle writes its report to "
+                         "stdout; give the CSV a file with --out FILE")
 
     @pytest.mark.parametrize("burn_in", ["-5", "0.5"])
     def test_burn_in_without_detect_cycle_is_exit_1(self, capsys, burn_in):

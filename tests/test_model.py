@@ -63,6 +63,24 @@ class TestParams:
         with pytest.raises(InvalidParams, match=f"{field} must be strictly"):
             RawParams(**{**self.RAW, field: math.inf})
 
+    @pytest.mark.parametrize("value", [True, False, np.True_])
+    @pytest.mark.parametrize("field", [
+        "a", "b", "k1", "k2", "m", "sigma1", "sigma2", *RAW, "mu"])
+    def test_boolean_field_rejected(self, field, value):
+        if field in ModelParams.__dataclass_fields__:
+            record, base = ModelParams, {"a": 1, "b": 1, "k1": 1, "k2": 1}
+        else:
+            record, base = RawParams, self.RAW
+        with pytest.raises(InvalidParams,
+                           match=f"^{field} must be a number, not a boolean$"):
+            record(**{**base, field: value})
+
+    def test_numbers_keep_their_type(self):
+        p = load_params('{"a": 1, "b": 0.1, "k1": 2, "k2": 0.2, "m": 0}')
+        assert json.dumps(p.to_dict()) == (
+            '{"a": 1, "b": 0.1, "k1": 2, "k2": 0.2, "m": 0, '
+            '"sigma1": 0.0, "sigma2": 0.0}')
+
     def test_raw_validation(self):
         with pytest.raises(InvalidParams):
             RawParams(rho1=1, rho2=1, beta=1, alpha1=1, alpha2=1,

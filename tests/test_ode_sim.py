@@ -229,6 +229,21 @@ class TestBatchValidation:
         with pytest.raises(InvalidParams, match=message):
             self.run(**params)
 
+    @pytest.mark.parametrize("params, name", [
+        (dict(a=np.array([0.5, 0.6, 0.7])), "a"),
+        (dict(k2=np.array([[0.2], [0.3]])), "k2"),
+        (dict(m=np.zeros((1, 2))), "m"),
+    ])
+    @pytest.mark.parametrize("n_steps", [0, 10])
+    def test_param_not_one_per_system(self, params, name, n_steps):
+        with pytest.raises(ValueError, match=rf"^{name} must be a scalar or "
+                           r"hold one value per system, shape \(2,\)$"):
+            self.run(n_steps=n_steps, **params)
+
+    def test_param_of_length_one_broadcasts(self):
+        final, _ = self.run(a=np.array([0.5]))
+        assert final.tobytes() == self.run()[0].tobytes()
+
     @pytest.mark.parametrize("h, state, match", [
         (math.nan, (0.9, 0.3), "need h > 0"),
         (math.inf, (0.9, 0.3), "h must be finite"),

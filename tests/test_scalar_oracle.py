@@ -11,10 +11,11 @@ import math
 import numpy as np
 import pytest
 
-from lglab import ModelParams, PositivityViolation, StepTooLarge
+from lglab import ModelParams, PositivityViolation, Region, StepTooLarge
 from lglab.model import _field_scalar
 from lglab.ode_sim import EULER, RK4, integrate
-from lglab.sde_sim import LOG_EULER, MILSTEIN, make_noise, simulate_path
+from lglab.sde_sim import (_CHUNK, LOG_EULER, MILSTEIN, hitting_time,
+                           make_noise, simulate_path)
 
 from conftest import random_params
 
@@ -137,6 +138,55 @@ class TestSimulatePath:
         got = simulate_path(p, (0.55, 0.6), scheme, noise)
         assert got.states.tobytes() == ref_simulate_path(
             p, (0.55, 0.6), scheme, noise, 0).tobytes()
+
+
+def ref_loss(p, init, noise, n):
+    """The 1-based Milstein step of ref_simulate_path that loses
+    positivity within n steps, or None."""
+    try:
+        ref_simulate_path(p, init, MILSTEIN, noise, n)
+    except PositivityViolation as exc:
+        return exc.step_index
+    return None
+
+
+class TestMilsteinLoss:
+    # strong prey noise carries the prey above 2, where its drift per unit
+    # times h outweighs the Milstein factor's minimum and a step crosses 0
+    P = ModelParams(a=0.4, b=0.1, k1=0.08, k2=0.2, m=0.0025,
+                    sigma1=1.0, sigma2=0.1)
+
+    @pytest.mark.parametrize("h, seed, lo, hi", [
+        (2.0, 1, 1, 1),
+        (0.3, 7, 2, _CHUNK),
+        (0.3, 8, _CHUNK + 1, 1000),
+    ], ids=["step-1", "first-chunk", "second-chunk"])
+    def test_step_index_matches_reference(self, h, seed, lo, hi):
+        noise = make_noise(seed, h, 1000)
+        step = ref_loss(self.P, (0.55, 0.6), noise, 1000)
+        assert step is not None and lo <= step <= hi
+        with pytest.raises(PositivityViolation,
+                           match=f"^positivity lost at step {step}$") as exc:
+            simulate_path(self.P, (0.55, 0.6), MILSTEIN, noise)
+        assert exc.value.step_index == step
+
+    def test_hitting_names_the_earliest_loss_across_chunks(self):
+        # path 0 loses positivity in the second chunk and path 1 in the
+        # first; neither reaches the target before its loss, so the error
+        # names path 1
+        init, seed0, h, n = (0.55, 0.6), 8, 0.3, 1000
+        target = Region(50.0, 60.0, 50.0, 60.0)
+        steps = [ref_loss(self.P, init, make_noise(seed0 + i, h, n), n)
+                 for i in range(2)]
+        assert steps[0] > _CHUNK > steps[1]
+        for i, step in enumerate(steps):
+            states = ref_simulate_path(self.P, init, MILSTEIN,
+                                       make_noise(seed0 + i, h, n), step - 1)
+            assert not target.contains(*states.T).any()
+        with pytest.raises(PositivityViolation,
+                           match="^positivity lost on path 1$"):
+            hitting_time(self.P, MILSTEIN, init, target, n_paths=2,
+                         seed0=seed0, t_cap=n * h, h=h)
 
 
 class TestIntegrate:

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lglab import (
@@ -400,6 +400,24 @@ class TestStationary:
         args = dict(burn_in=2.0, t_max=10.0, bins=10, h=0.01) | kw
         with pytest.raises(ValueError, match=match):
             stationary_histogram(STOCH, LOG_EULER, seed=1, **args)
+
+
+class TestBin2d:
+    BELOW = st.floats(0.0, sde_sim.HIST_RANGE, exclude_max=True)
+
+    @given(bins=st.integers(1, 2000),
+           x=st.lists(BELOW | st.just(math.nextafter(sde_sim.HIST_RANGE, 0)),
+                      max_size=20),
+           y=st.lists(BELOW, max_size=20))
+    @example(bins=9, x=[math.nextafter(sde_sim.HIST_RANGE, 0)], y=[0.1])
+    @settings(max_examples=200, deadline=None)
+    def test_points_below_range_stay_in_range(self, bins, x, y):
+        # x / w can round up to bins for x one ulp below HIST_RANGE
+        n = min(len(x), len(y))
+        x, y = np.array(x[:n]), np.array(y[:n])
+        counts, overflow = sde_sim._bin2d(x, y, bins)
+        assert counts.shape == (bins, bins)
+        assert (overflow, counts.sum()) == (0, n)
 
 
 class TestHitting:
