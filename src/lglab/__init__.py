@@ -41,9 +41,11 @@ from .equilibria import (
     trivial_equilibria,
 )
 from .qualitative import (
+    Analysis,
     PersistenceReport,
     Region,
     RegimeCertificate,
+    analyze,
     global_stability_condition,
     invariant_region,
     no_cycle_conditions,

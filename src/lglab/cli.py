@@ -103,10 +103,9 @@ def _build_params(args) -> ModelParams:
 def analysis_report(p: ModelParams, want_hopf: bool = False) -> dict:
     """Full equilibrium/certificate report as a JSON-ready dict."""
     trivial = eq.trivial_equilibria(p)
-    count_report = eq.count_interior_equilibria(p)
-    interior = eq.find_interior_equilibria(p)
+    an = qualitative.analyze(p)
     try:
-        idx = eq.index_sum_check(p, interior)
+        idx = eq.index_sum_check(an.interior, trivial[2])
         index = {"total": idx.total, "expected": idx.expected,
                  "passed": idx.passed, "skipped": None}
     except NonHyperbolicPresent as exc:
@@ -116,7 +115,7 @@ def analysis_report(p: ModelParams, want_hopf: bool = False) -> dict:
     hopf = None
     if want_hopf:
         hopf = []
-        for e in interior:
+        for e in an.interior:
             try:
                 hd = eq.hopf_point(p, e)
                 hopf.append({"x": e.x, "y": e.y, "b0": hd.b0,
@@ -127,13 +126,13 @@ def analysis_report(p: ModelParams, want_hopf: bool = False) -> dict:
     return _artifact(
         "analysis-report", params=p.to_dict(),
         trivial_equilibria=[e.to_dict() for e in trivial],
-        interior_equilibria=[e.to_dict() for e in interior],
-        count=dataclasses.asdict(count_report), index=index,
+        interior_equilibria=[e.to_dict() for e in an.interior],
+        count=dataclasses.asdict(an.count), index=index,
         region=qualitative.invariant_region(p).to_dict(),
         qualitative={
-            "persistence": qualitative.persistence_report(p).to_dict(),
-            "global_stability": qualitative.global_stability_condition(p).to_dict(),
-            "no_cycle": [c.to_dict() for c in qualitative.no_cycle_conditions(p)],
+            "persistence": qualitative.persistence_report(an).to_dict(),
+            "global_stability": qualitative.global_stability_condition(an).to_dict(),
+            "no_cycle": [c.to_dict() for c in qualitative.no_cycle_conditions(an)],
             "stochastic_regime": qualitative.stochastic_regime(p).to_dict(),
         },
         hopf=hopf)
@@ -291,9 +290,9 @@ def cmd_scan(args) -> int:
         d = base.to_dict()
         d[args.name] = float(v)
         p = ModelParams(**d)
-        count = eq.count_interior_equilibria(p)
-        interior = eq.find_interior_equilibria(p)
-        row = [args.name, f"{v:.17g}", str(count.n_predicted)]
+        an = qualitative.analyze(p)
+        interior = an.interior
+        row = [args.name, f"{v:.17g}", str(an.count.n_predicted)]
         for i in range(3):
             if i < len(interior):
                 e = interior[i]

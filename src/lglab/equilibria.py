@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from .errors import (
@@ -179,13 +180,16 @@ def _z(p: ModelParams, x: float) -> float:
     return p.k1 + x - p.m
 
 
+def _linear_terms(p: ModelParams, x: float, y: float):
+    """(core, kc) with s = core + b and det = b*(core + kc), as _trace_det."""
+    z = _z(p, x)
+    return -1.0 + 2.0 * x + p.a * y * p.k1 / z ** 2, p.a * (x - p.m) / z
+
+
 def _trace_det(p: ModelParams, x: float, y: float):
     """s = -trace and p = det of the Jacobian at an interior equilibrium."""
-    z = _z(p, x)
-    core = -1.0 + 2.0 * x + p.a * y * p.k1 / z ** 2
-    s = core + p.b
-    det = p.b * (core + p.a * (x - p.m) / z)
-    return s, det
+    core, kc = _linear_terms(p, x, y)
+    return core + p.b, p.b * (core + kc)
 
 
 def _root_in_bracket(c: CubicCoeffs, lo: float, hi: float) -> float:
@@ -362,7 +366,8 @@ def classify(p: ModelParams, e: Equilibrium) -> Equilibrium:
                    index=_INDEX[tax], hyperbolic=hyperbolic)
 
 
-def index_sum_check(p: ModelParams, eqs: list[Equilibrium]) -> IndexReport:
+def index_sum_check(eqs: Sequence[Equilibrium],
+                    e2: Equilibrium) -> IndexReport:
     """Check the Poincare index sum of classified interior equilibria.
 
     The expected sum follows from the type of E2 = (0, k2), as
@@ -377,7 +382,7 @@ def index_sum_check(p: ModelParams, eqs: list[Equilibrium]) -> IndexReport:
         if not e.hyperbolic:
             raise NonHyperbolicPresent(f"non-hyperbolic equilibrium {e.taxonomy}")
     total = sum(e.index for e in eqs)
-    expected = {SADDLE: 1, STABLE_NODE: 0}.get(trivial_equilibria(p)[2].taxonomy)
+    expected = {SADDLE: 1, STABLE_NODE: 0}.get(e2.taxonomy)
     return IndexReport(total=total, expected=expected,
                        passed=(expected is None or total == expected))
 
@@ -422,9 +427,8 @@ def hopf_point(p: ModelParams, e: Equilibrium) -> HopfData:
     combination of second and third partials of the field transformed to the
     eigenbasis at b = b0; lam > 0 means the bifurcating orbits are repelling.
     """
-    z = _z(p, e.x)
-    b0 = 1.0 - 2.0 * e.x - p.a * e.y * p.k1 / z ** 2
-    kc = p.a * (e.x - p.m) / z
+    core, kc = _linear_terms(p, e.x, e.y)
+    b0 = 0.0 - core  # an exact zero stays +0.0
     if not 0.0 < b0 < kc:
         raise NoHopf(f"b0={b0:.6g} outside (0, a*c)= (0, {kc:.6g})")
 

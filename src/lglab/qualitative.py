@@ -3,8 +3,10 @@
 Each function checks the hypotheses of one analytic result and reports the
 verdict together with the inequality margins that were evaluated, so a
 caller (or the JSON report) can see exactly why a certificate holds or
-fails.  Nothing here integrates the dynamics; simulation cross-checks live
-in the test suite.
+fails.  The certificates that depend on the interior equilibria read them
+from one `Analysis` record, built once per parameter set by `analyze`.
+Nothing here integrates the dynamics; simulation cross-checks live in the
+test suite.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .equilibria import count_interior_equilibria, find_interior_equilibria
+from .equilibria import (CountReport, Equilibrium, count_interior_equilibria,
+                         find_interior_equilibria)
 from .model import ModelParams
 
 UNIFORMLY_PERSISTENT = "UniformlyPersistent"
@@ -76,12 +79,27 @@ class RegimeCertificate:
                 "witness": self.witness}
 
 
+@dataclass(frozen=True)
+class Analysis:
+    """The equilibrium facts of one parameter set that certificates read."""
+
+    p: ModelParams
+    count: CountReport
+    interior: tuple[Equilibrium, ...]
+
+
+def analyze(p: ModelParams) -> Analysis:
+    """Count and locate the classified interior equilibria of p, once."""
+    return Analysis(p, count_interior_equilibria(p),
+                    tuple(find_interior_equilibria(p)))
+
+
 def invariant_region(p: ModelParams) -> Region:
     """The invariant attracting rectangle [m,1] x [k2, 1+k2-m)."""
     return Region(x_lo=p.m, x_hi=1.0, y_lo=p.k2, y_hi=1.0 + p.k2 - p.m)
 
 
-def persistence_report(p: ModelParams) -> PersistenceReport:
+def persistence_report(an: Analysis) -> PersistenceReport:
     """Which persistence regime the parameters fall in.
 
     A positive refuge keeps the prey above m, so m > 0 always gives uniform
@@ -89,8 +107,12 @@ def persistence_report(p: ModelParams) -> PersistenceReport:
     pressure a compares with the half-saturation k1: small pressure
     (a*L < k1, L = 1+k2) still bounds the prey away from zero, the
     intermediate range only bounds it in the limsup sense, and strong
-    pressure (k1 < a*k2) drives the prey extinct.
+    pressure (k1 < a*k2) makes E2 = (0, k2) attract.  E2 attracting does not
+    make the prey die out: a stable interior equilibrium or cycle may
+    coexist with it.  So extinction is claimed only when no interior
+    equilibrium exists, and the verdict is Undetermined otherwise.
     """
+    p = an.p
     if p.m > 0:
         return PersistenceReport(UNIFORMLY_PERSISTENT, "refuge",
                                  liminf_x_bound=p.m)
@@ -110,39 +132,47 @@ def persistence_report(p: ModelParams) -> PersistenceReport:
         if bound > 0:
             return PersistenceReport(WEAKLY_PERSISTENT, "boundary_predation",
                                      limsup_x_bound=bound)
-        return PersistenceReport(PREY_EXTINCTION, "boundary_predation")
-    return PersistenceReport(PREY_EXTINCTION, "strong_predation")
+        branch = "boundary_predation"
+    else:
+        branch = "strong_predation"
+    regime = UNDETERMINED if an.count.n_predicted else PREY_EXTINCTION
+    return PersistenceReport(regime, branch)
 
 
-def global_stability_condition(p: ModelParams) -> RegimeCertificate:
+def global_stability_condition(an: Analysis) -> RegimeCertificate:
     """Sufficient condition for a unique globally stable interior equilibrium.
 
-    Requires 2m + k1 >= 1, and for m = 0 additionally
-    4*a*k2 <= (1-k1-a)^2 + 4*k1.
+    Requires exactly one interior equilibrium and 2m + k1 >= 1, and for
+    m = 0 additionally 4*a*k2 <= (1-k1-a)^2 + 4*k1.  The margins alone do
+    not rule out a parameter set without an interior equilibrium.
     """
+    p = an.p
     margin1 = 2.0 * p.m + p.k1 - 1.0
     margin2 = (1.0 - p.k1 - p.a) ** 2 + 4.0 * p.k1 - 4.0 * p.a * p.k2
-    holds = margin1 >= 0.0 and (p.m > 0 or margin2 >= 0.0)
+    holds = (an.count.n_predicted == 1 and margin1 >= 0.0
+             and (p.m > 0 or margin2 >= 0.0))
     return RegimeCertificate(holds, "global_stability", {
         "two_m_plus_k1_minus_1": margin1,
         "discriminant_margin": margin2 if p.m == 0 else None,
     })
 
 
-def no_cycle_conditions(p: ModelParams) -> list[RegimeCertificate]:
+def no_cycle_conditions(an: Analysis) -> list[RegimeCertificate]:
     """All cycle-related certificates, no-cycle and existence side together.
 
     Each sufficient condition is evaluated independently; a periodic orbit
-    is ruled out as soon as any no-cycle certificate holds.  The last entry
-    is the existence-side clause: with m = 0 and a single unstable interior
-    equilibrium of focus/node type, the attracting region forces at least
-    one limit cycle around it.
+    is ruled out as soon as any no-cycle certificate holds.  A cycle must
+    enclose an interior equilibrium, so the count rules cycles out only when
+    there is none; two equilibria (a saddle and an unstable focus) can be
+    encircled by a stable cycle.  The last entry is the existence-side
+    clause: with m = 0 and a single unstable interior equilibrium of
+    focus/node type, the attracting region forces at least one limit cycle
+    around it.
     """
+    p, count = an.p, an.count
     out = []
-
-    count = count_interior_equilibria(p)
     out.append(RegimeCertificate(
-        p.m == 0 and count.n_predicted in (0, 2),
+        p.m == 0 and count.n_predicted == 0,
         "no_cycle_equilibrium_count",
         {"m": p.m, "n": count.n_predicted},
     ))
@@ -158,14 +188,14 @@ def no_cycle_conditions(p: ModelParams) -> list[RegimeCertificate]:
         "k1_minus_1_plus_m": p.k1 - (1.0 + p.m),
         "ak2_plus_k1": p.a * p.k2 + p.k1,
     }))
-    gs = global_stability_condition(p)
+    gs = global_stability_condition(an)
     out.append(RegimeCertificate(gs.holds, "no_cycle_global_stability",
                                  gs.witness))
 
     exists = False
     witness = {"m": p.m, "n": count.n_predicted, "s": None, "p": None}
     if p.m == 0 and count.n_predicted == 1:
-        (e,) = find_interior_equilibria(p)
+        (e,) = an.interior
         witness["s"], witness["p"] = e.s, e.p_det
         exists = e.s < 0 and e.p_det > 0
     out.append(RegimeCertificate(exists, "cycle_exists_unstable_interior",

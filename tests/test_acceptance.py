@@ -9,6 +9,7 @@ import pytest
 
 from lglab import (
     ModelParams,
+    analyze,
     classify,
     count_interior_equilibria,
     cubic_coefficients,
@@ -24,6 +25,7 @@ from lglab import (
     persistence_report,
     simulate_path,
     stationary_histogram,
+    trivial_equilibria,
 )
 from lglab.equilibria import SADDLE, STABLE_FOCUS, UNSTABLE_FOCUS
 from lglab.ode_sim import RK4, integrate_batch
@@ -46,7 +48,7 @@ def test_criterion_01_three_equilibria_regression():
     for e, (x, y, tax) in zip(eqs, expected):
         assert abs(e.x - x) < 1e-5 and abs(e.y - y) < 1e-5
         assert e.taxonomy == tax
-    rep = index_sum_check(THREE_EQ, eqs)
+    rep = index_sum_check(eqs, trivial_equilibria(THREE_EQ)[2])
     assert rep.total == 1 and rep.passed
 
 
@@ -108,7 +110,7 @@ def test_criterion_05_invariance_and_persistence():
     draws = [random_params(rng, m_mode="positive") for _ in range(50)]
     # one extra draw without a refuge, under weak predation: prey floor
     p0 = ModelParams(a=0.5, b=0.1, k1=1.0, k2=0.2)
-    bound = persistence_report(p0).liminf_x_bound
+    bound = persistence_report(analyze(p0)).liminf_x_bound
     draws.append(p0)
 
     # all draws advance in one lockstep batch with per-row parameters

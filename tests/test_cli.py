@@ -1,13 +1,14 @@
 import json
 import re
+from collections import Counter
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
 
-from lglab import ode_sim
-from lglab.cli import _SDE_MODES, _build_parser, _dump, main
+from lglab import ModelParams, equilibria, ode_sim, qualitative
+from lglab.cli import _SDE_MODES, _build_parser, _dump, analysis_report, main
 
 THREE = ["--a", "0.5", "--b", "0.1", "--k1", "0.08", "--k2", "0.2",
          "--m", "0.0025"]
@@ -143,6 +144,31 @@ class TestAnalyze:
         assert (code, out.out) == (1, "")
         assert out.err.startswith("error: the equilibrium cubic is not finite")
         assert out.err.count("\n") == 1
+
+    def test_one_equilibrium_pass_per_report(self, monkeypatch):
+        # the report and every certificate read one record: each finder
+        # runs once, and find_interior_equilibria counts once more itself
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("count_interior_equilibria", "find_interior_equilibria",
+                     "trivial_equilibria"):
+            fn = getattr(equilibria, name)
+            for ns in (equilibria, qualitative):
+                if getattr(ns, name, None) is fn:
+                    monkeypatch.setattr(ns, name, counted(name, fn))
+        # m = 0 with one interior equilibrium: every certificate reads it
+        p = ModelParams(a=1.1, b=0.2, k1=0.08, k2=0.01)
+        report = analysis_report(p, want_hopf=True)
+        assert len(report["interior_equilibria"]) == 1
+        assert calls["find_interior_equilibria"] == 1
+        assert calls["trivial_equilibria"] == 1
+        assert calls["count_interior_equilibria"] <= 2
 
 
 class TestOde:

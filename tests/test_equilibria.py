@@ -178,7 +178,7 @@ class TestClassify:
 class TestIndex:
     def test_three_equilibria_sum(self):
         eqs = [classify(THREE, e) for e in find_interior_equilibria(THREE)]
-        rep = index_sum_check(THREE, eqs)
+        rep = index_sum_check(eqs, trivial_equilibria(THREE)[2])
         assert rep.total == 1 and rep.passed
 
     def test_random_draws_sum(self, rng):
@@ -186,7 +186,7 @@ class TestIndex:
             p = random_params(rng)
             eqs = [classify(p, e) for e in find_interior_equilibria(p)]
             try:
-                rep = index_sum_check(p, eqs)
+                rep = index_sum_check(eqs, trivial_equilibria(p)[2])
             except NonHyperbolicPresent:
                 continue
             assert rep.passed, (p.to_dict(), rep)
@@ -195,7 +195,7 @@ class TestIndex:
         e = eqmod.Equilibrium(0.5, 0.5, taxonomy="LinearCenter", index=1,
                               hyperbolic=False)
         with pytest.raises(NonHyperbolicPresent):
-            index_sum_check(THREE, [e])
+            index_sum_check([e], trivial_equilibria(THREE)[2])
 
 
 class TestHopf:

@@ -13,6 +13,7 @@ from lglab import (
     NonFinite,
     StepTooLarge,
     TooShort,
+    analyze,
     detect_limit_cycle,
     find_interior_equilibria,
     integrate,
@@ -325,7 +326,7 @@ class TestBounds:
 
     def test_weak_predation_lower_bound(self):
         p = ModelParams(a=0.5, b=0.1, k1=1.0, k2=0.2)
-        bound = persistence_report(p).liminf_x_bound
+        bound = persistence_report(analyze(p)).liminf_x_bound
         traj = integrate(p, (0.3, 0.4), RK4, h=1e-2, t_max=500.0)
         b = long_run_bounds(traj, tail_fraction=0.2)
         assert b.liminf_x >= bound - 1e-3

@@ -1,22 +1,38 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lglab import (
     ModelParams,
     Region,
+    analyze,
     count_interior_equilibria,
+    detect_limit_cycle,
     global_stability_condition,
+    integrate,
     invariant_region,
     no_cycle_conditions,
     persistence_report,
     stochastic_regime,
 )
+from lglab.cli import analysis_report
+from lglab.ode_sim import RK4, integrate_batch
 
 from conftest import random_params
 
 COORD = st.floats(-0.5, 2.5, allow_nan=False)
+# log-uniform rates and a refuge that is zero half the time, as random_params
+RATE = st.floats(-1.5, 0.5).map(lambda v: 10.0 ** v)
+REFUGE = st.one_of(st.just(0.0), st.floats(0.0005, 0.6))
+
+# m = 0 with a*k2 > k1: E2 attracts, next to a stable focus (bistable) ...
+BISTABLE = dict(a=0.38, b=1.0, k1=0.054, k2=0.285, m=0.0)
+# ... margins of global stability hold, without an interior equilibrium ...
+NO_INTERIOR = dict(a=2.2, b=0.7, k1=1.06, k2=0.705, m=0.0)
+# ... a saddle and an unstable focus, encircled by a stable cycle
+CYCLE_AROUND_TWO = dict(a=0.506126773882697, b=0.09701586162675373,
+                        k1=0.3402444783228198, k2=0.6722858283634656, m=0.0)
 
 
 class TestRegion:
@@ -70,34 +86,54 @@ class TestRegion:
 
 class TestPersistence:
     def test_weak_predation_bound(self):
-        rep = persistence_report(ModelParams(a=0.5, b=0.1, k1=1.0, k2=0.2))
+        rep = persistence_report(analyze(ModelParams(a=0.5, b=0.1, k1=1.0,
+                                                    k2=0.2)))
         assert rep.regime == "UniformlyPersistent"
         assert rep.liminf_x_bound == pytest.approx(0.4)
 
     def test_strong_predation_extinction(self):
-        rep = persistence_report(ModelParams(a=1.0, b=0.1, k1=0.2, k2=0.5))
+        rep = persistence_report(analyze(ModelParams(a=1.0, b=0.1, k1=0.2,
+                                                    k2=0.5)))
         assert rep.regime == "PreyExtinction"
 
     def test_refuge_always_persists(self):
-        rep = persistence_report(ModelParams(a=5, b=2, k1=0.01, k2=3, m=0.3))
+        rep = persistence_report(analyze(ModelParams(a=5, b=2, k1=0.01, k2=3,
+                                                    m=0.3)))
         assert rep.regime == "UniformlyPersistent"
         assert rep.branch == "refuge"
 
     def test_intermediate_branch_bound(self):
         p = ModelParams(a=0.5, b=0.1, k1=0.2, k2=0.2)  # a*k2 < k1 <= a*L
-        rep = persistence_report(p)
+        rep = persistence_report(analyze(p))
         assert rep.regime == "WeaklyPersistent"
         assert rep.limsup_x_bound is not None and rep.limsup_x_bound > 0
 
     def test_exactly_one_branch(self, rng):
         for _ in range(300):
             p = random_params(rng)
-            rep = persistence_report(p)
+            rep = persistence_report(analyze(p))
             assert rep.regime in ("UniformlyPersistent", "WeaklyPersistent",
-                                  "PreyExtinction")
+                                  "PreyExtinction", "Undetermined")
             assert rep.branch in ("refuge", "weak_predation",
                                   "intermediate_predation",
                                   "boundary_predation", "strong_predation")
+
+    def test_prey_extinction_draws_lose_the_prey(self):
+        # every PreyExtinction draw, integrated from 4 random starts, keeps
+        # the prey below 1e-3 over t in [200, 400]
+        rng = np.random.default_rng(1616)
+        draws = []
+        while len(draws) < 40:
+            p = random_params(rng, m_mode="zero")
+            if persistence_report(analyze(p)).regime == "PreyExtinction":
+                draws.append(p)
+        per, h, n_steps = 4, 0.02, 20_000
+        init = rng.uniform(0.01, 1.2, size=(len(draws) * per, 2))
+        cols = [np.repeat([getattr(p, n) for p in draws], per)
+                for n in ("a", "b", "k1", "k2", "m")]
+        _, (_, max_x, _, _) = integrate_batch(*cols, init, h, n_steps,
+                                              tail_start=n_steps // 2)
+        assert max_x.max() < 1e-3
 
 
 class TestGlobalStability:
@@ -107,21 +143,22 @@ class TestGlobalStability:
         (dict(a=0.5, b=0.1, k1=0.08, k2=0.2, m=0.0025), False),
     ])
     def test_examples(self, kwargs, holds):
-        assert global_stability_condition(ModelParams(**kwargs)).holds is holds
+        an = analyze(ModelParams(**kwargs))
+        assert global_stability_condition(an).holds is holds
 
     def test_implies_unique_equilibrium(self, rng):
         hits = 0
         while hits < 1000:
             p = random_params(rng)
-            if not global_stability_condition(p).holds:
+            if not global_stability_condition(analyze(p)).holds:
                 continue
             hits += 1
-            assert count_interior_equilibria(p).n_predicted <= 1, p.to_dict()
+            assert count_interior_equilibria(p).n_predicted == 1, p.to_dict()
 
 
 class TestNoCycle:
     def by_clause(self, p):
-        return {c.clause: c for c in no_cycle_conditions(p)}
+        return {c.clause: c for c in no_cycle_conditions(analyze(p))}
 
     def test_dulac_example(self):
         certs = self.by_clause(ModelParams(a=1, b=0.5, k1=1.6, k2=0.6, m=0.5))
@@ -151,7 +188,69 @@ class TestNoCycle:
 
     def test_idempotent(self):
         p = ModelParams(a=0.5, b=0.1, k1=0.08, k2=0.2, m=0.0025)
-        assert no_cycle_conditions(p) == no_cycle_conditions(p)
+        assert (no_cycle_conditions(analyze(p))
+                == no_cycle_conditions(analyze(p)))
+
+
+class TestReportConsistency:
+    """No verdict of an analysis report contradicts the equilibria it lists."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=RATE, b=RATE, k1=RATE, k2=RATE, m=REFUGE)
+    @example(**BISTABLE)
+    @example(**NO_INTERIOR)
+    @example(**CYCLE_AROUND_TWO)
+    def test_verdicts_agree_with_interior_equilibria(self, a, b, k1, k2, m):
+        report = analysis_report(ModelParams(a=a, b=b, k1=k1, k2=k2, m=m))
+        n = len(report["interior_equilibria"])
+        q = report["qualitative"]
+        no_cycle = {c["clause"]: c["holds"] for c in q["no_cycle"]}
+        regime, branch = q["persistence"]["regime"], q["persistence"]["branch"]
+        if n > 0:
+            assert regime != "PreyExtinction"
+            assert not no_cycle["no_cycle_equilibrium_count"]
+        if regime == "Undetermined":
+            assert n > 0
+            assert branch in ("strong_predation", "boundary_predation")
+        if n != 1:
+            assert not q["global_stability"]["holds"]
+            assert not no_cycle["no_cycle_global_stability"]
+
+    def test_bistable_example_is_undetermined(self):
+        report = analysis_report(ModelParams(**BISTABLE))
+        assert report["qualitative"]["persistence"] == {
+            "regime": "Undetermined", "branch": "strong_predation",
+            "liminf_x_bound": None, "limsup_x_bound": None}
+        stable = [e for e in report["interior_equilibria"]
+                  if e["taxonomy"] == "StableFocus"]
+        assert [round(e["x"], 4) for e in stable] == [0.4436]
+
+    def test_no_interior_example_is_not_globally_stable(self):
+        report = analysis_report(ModelParams(**NO_INTERIOR))
+        q = report["qualitative"]
+        assert report["interior_equilibria"] == []
+        assert q["global_stability"]["holds"] is False
+        assert q["persistence"]["regime"] == "PreyExtinction"
+        # both margins hold: only the missing equilibrium fails it
+        assert q["global_stability"]["witness"]["two_m_plus_k1_minus_1"] >= 0
+        assert q["global_stability"]["witness"]["discriminant_margin"] >= 0
+
+    def test_cycle_around_two_equilibria(self):
+        p = ModelParams(**CYCLE_AROUND_TWO)
+        report = analysis_report(p)
+        q = report["qualitative"]
+        assert [e["taxonomy"] for e in report["interior_equilibria"]] == [
+            "Saddle", "UnstableFocus"]
+        no_cycle = {c["clause"]: c["holds"] for c in q["no_cycle"]}
+        assert not any(holds for clause, holds in no_cycle.items()
+                       if clause.startswith("no_cycle"))
+        assert q["persistence"]["regime"] == "Undetermined"
+        # the stable cycle that refutes the old two-equilibria clause
+        traj = integrate(p, (0.5, 0.5), RK4, h=0.01, t_max=2000.0)
+        rep = detect_limit_cycle(p, traj, t_burn=1000.0)
+        assert rep.found and rep.stable
+        assert rep.period == pytest.approx(128.0, abs=0.5)
+        assert rep.amplitude_x == pytest.approx(0.2243, abs=1e-3)
 
 
 class TestStochasticRegime:
