@@ -2,7 +2,14 @@
 
 Deterministic and noise-driven variants of a logistic prey coupled to a
 predator with saturating uptake and prey-dependent carrying capacity.
+
+The analysis layers (model, equilibria, qualitative) need only the standard
+library.  The simulation layers need numpy, so they and their names are
+imported on first access: `from lglab import simulate_path` and
+`lglab.sde_sim` work as if they had been imported here.
 """
+
+import importlib
 
 from .errors import (
     Inconclusive,
@@ -21,7 +28,6 @@ from .errors import (
 from .model import (
     ModelParams,
     RawParams,
-    jacobian,
     load_params,
     nondimensionalize,
     vector_field,
@@ -52,26 +58,28 @@ from .qualitative import (
     persistence_report,
     stochastic_regime,
 )
-from .ode_sim import (
-    CycleReport,
-    LongRunBounds,
-    Trajectory,
-    detect_limit_cycle,
-    integrate,
-    long_run_bounds,
-)
-from .sde_sim import (
-    ComparisonBundle,
-    EnsembleStats,
-    NoisePath,
-    SamplePath,
-    comparison_bundle,
-    ensemble,
-    explicit_upper_prey,
-    hitting_time,
-    make_noise,
-    simulate_path,
-    stationary_histogram,
-)
 
 __version__ = "0.1.0"
+
+# the simulation layers' public names, imported on first access
+_LAZY = {
+    "ode_sim": ("CycleReport", "LongRunBounds", "Trajectory",
+                "detect_limit_cycle", "integrate", "jacobian",
+                "long_run_bounds"),
+    "sde_sim": ("ComparisonBundle", "EnsembleStats", "NoisePath",
+                "SamplePath", "comparison_bundle", "ensemble",
+                "explicit_upper_prey", "hitting_time", "make_noise",
+                "simulate_path", "stationary_histogram"),
+}
+
+
+def __getattr__(name):
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            mod = importlib.import_module(f".{module}", __name__)
+            return mod if name == module else getattr(mod, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, *(n for ns in _LAZY.values() for n in ns)})

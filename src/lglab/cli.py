@@ -4,6 +4,10 @@ Every subcommand is a pure function of its flags (plus the explicit seed
 for stochastic runs); artifacts are JSON or CSV, written atomically, with
 `--out -` streaming to stdout.  Exit codes: 0 success, 1 bad input or a
 simulation that cannot proceed, 2 internal consistency failure.
+
+`analyze` and `scan` run on the standard library alone: the simulation
+layers, and numpy with them, are imported by the subcommands that
+simulate.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ import math
 import os
 import sys
 import tempfile
-
-import numpy as np
 
 from . import __version__
 from .errors import (
@@ -32,7 +34,7 @@ from .errors import (
 from .model import (_MODEL_FIELDS, ModelParams, _check_burn_in, _horizon,
                     load_params)
 from . import equilibria as eq
-from . import ode_sim, qualitative, sde_sim
+from . import qualitative
 
 SCHEMA_VERSION = 1
 
@@ -149,6 +151,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_ode(args) -> int:
+    from . import ode_sim
     p = _build_params(args)
     scheme = ode_sim.EULER if args.scheme == "euler" else ode_sim.RK4
     t_max = args.t_max if args.t_max is not None else 100.0
@@ -180,6 +183,7 @@ def cmd_ode(args) -> int:
 
 
 def _histogram_json(counts, overflow):
+    from . import sde_sim
     return {"bins": len(counts), "range": [0.0, sde_sim.HIST_RANGE],
             "counts": counts, "overflow": overflow}
 
@@ -205,6 +209,7 @@ _SDE_EPILOG = "Each mode reads only its own flags (defaults): " + "; ".join(
 
 
 def cmd_sde(args) -> int:
+    from . import sde_sim
     p = _build_params(args)
     scheme = sde_sim.MILSTEIN if args.scheme == "milstein" else sde_sim.LOG_EULER
     start = (args.x0, args.y0)
@@ -272,13 +277,28 @@ def cmd_sde(args) -> int:
     return 0
 
 
+def _grid(lo: float, hi: float, steps: int) -> list[float]:
+    """np.linspace(lo, hi, steps) bit for bit, reversed when lo > hi.
+
+    Each value is i * step + lo, or i / div * delta + lo when the step
+    underflows to zero (a subnormal span), and the last value is hi.
+    """
+    div = steps - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0:
+        values = [i / div * delta + lo for i in range(div)]
+    else:
+        values = [i * step + lo for i in range(div)]
+    values.append(hi)
+    return values[::-1] if lo > hi else values
+
+
 def cmd_scan(args) -> int:
     if args.steps < 2:
         raise InvalidParams("--steps must be >= 2")
     base = _build_params(args)
-    values = np.linspace(args.lo, args.hi, args.steps)
-    if args.lo > args.hi:
-        values = values[::-1]
+    values = _grid(args.lo, args.hi, args.steps)
 
     header = ["param", "value", "n"]
     for i in (1, 2, 3):
@@ -288,7 +308,7 @@ def cmd_scan(args) -> int:
 
     for v in values:
         d = base.to_dict()
-        d[args.name] = float(v)
+        d[args.name] = v
         p = ModelParams(**d)
         an = qualitative.analyze(p)
         interior = an.interior

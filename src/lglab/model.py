@@ -1,4 +1,4 @@
-"""Parameters, vector field and Jacobian of the refuge model.
+"""Parameters and vector field of the refuge model.
 
 The deterministic system on the closed quadrant {x >= 0, y >= 0} is
 
@@ -8,27 +8,34 @@ The deterministic system on the closed quadrant {x >= 0, y >= 0} is
 with (x-m)_+ = max(0, x-m); dimensionless parameters a, b, k1, k2 > 0 and
 refuge density 0 <= m < 1.  The stochastic variant adds diagonal
 multiplicative noise (sigma1*x dW1, sigma2*y dW2).
+
+This module runs on the standard library alone, so the analysis layer
+built on it never imports numpy; the array forms live in ode_sim.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .errors import InvalidParams, KinkPoint
+from .errors import InvalidParams
 
 _MODEL_FIELDS = ("a", "b", "k1", "k2", "m", "sigma1", "sigma2")
-_BOOLEANS = frozenset((bool, np.bool_))
 
 
 def _refuse_booleans(record) -> None:
-    """0 < True holds, so a boolean field would pass a record's range checks."""
+    """0 < True holds, so a boolean field would pass a record's range checks.
+
+    numpy's boolean is refused too; one can exist only once numpy has been
+    imported, so it is looked up without importing numpy.
+    """
+    np = sys.modules.get("numpy")
+    booleans = {bool} if np is None else {bool, np.bool_}
     fields = vars(record)
-    if not _BOOLEANS.isdisjoint(map(type, fields.values())):
-        name = next(n for n, v in fields.items() if type(v) in _BOOLEANS)
+    if not booleans.isdisjoint(map(type, fields.values())):
+        name = next(n for n, v in fields.items() if type(v) in booleans)
         raise InvalidParams(f"{name} must be a number, not a boolean")
 
 
@@ -160,10 +167,10 @@ def _horizon(h, t_end, available=None) -> int:
 
 
 def _check_state(x, y) -> None:
-    """A finite point of the closed quadrant; x and y may be arrays."""
-    if not np.all((x >= 0) & (y >= 0)):
+    """A finite point of the closed quadrant (NaN fails the first test)."""
+    if not (x >= 0 and y >= 0):
         raise ValueError("initial state must lie in the closed quadrant")
-    if not np.all((x < math.inf) & (y < math.inf)):
+    if not (x < math.inf and y < math.inf):
         raise ValueError("initial state must be finite")
 
 
@@ -177,49 +184,11 @@ def _field_scalar(a, b, k1, k2, m, x, y):
     return v1, v2
 
 
-def _field_batch(a, b, k1, k2, m, x, y, out=(None, None), work=(None, None)):
-    """Array evaluation of the vector field; every argument broadcasts.
-
-    out = (v1, v2) and work are optional pairs of arrays of the broadcast
-    shape that receive the result and the intermediates, so a caller in a
-    loop allocates nothing; without them every operation allocates.  A
-    (2, n) array serves as either pair, its rows unpacking as the two.  The
-    operation order is that of _field_scalar either way.
-    """
-    o1, o2 = out
-    w1, w2 = work
-    u = np.maximum(np.subtract(x, m, out=w1), 0.0, out=w1)
-    v1 = np.multiply(np.multiply(a, y, out=o1), u, out=o1)
-    v1 = np.divide(v1, np.add(k1, u, out=w2), out=o1)
-    v1 = np.subtract(np.multiply(x, np.subtract(1.0, x, out=w2), out=w2), v1,
-                     out=o1)
-    v2 = np.subtract(1.0, np.divide(y, np.add(k2, u, out=w2), out=w2), out=w2)
-    v2 = np.multiply(np.multiply(b, y, out=o2), v2, out=o2)
-    return v1, v2
-
-
 def vector_field(p: ModelParams, state):
     """Velocity (v1, v2) at a state; broadcasts over array-valued states."""
     x, y = state
     if isinstance(x, float) and isinstance(y, float):
         return _field_scalar(p.a, p.b, p.k1, p.k2, p.m, x, y)
-    return _field_batch(p.a, p.b, p.k1, p.k2, p.m,
-                        np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-
-
-def jacobian(p: ModelParams, state) -> np.ndarray:
-    """2x2 Jacobian of the vector field at a state off the refuge line.
-
-    Raises KinkPoint when m > 0 and x == m exactly: the field has a kink
-    there and one-sided derivatives must be queried at m +- eps instead.
-    """
-    x, y = state
-    if p.m > 0 and x == p.m:
-        raise KinkPoint(f"jacobian is undefined on the line x = m = {p.m}")
-    u = max(0.0, x - p.m)
-    active = 1.0 if x >= p.m else 0.0
-    j11 = 1.0 - 2.0 * x - p.a * y * p.k1 / (p.k1 + u) ** 2 * active
-    j12 = -p.a * u / (p.k1 + u)
-    j21 = p.b * y ** 2 / (p.k2 + u) ** 2 * active
-    j22 = p.b - 2.0 * p.b * y / (p.k2 + u)
-    return np.array([[j11, j12], [j21, j22]])
+    # a caller holding arrays has numpy loaded already
+    from .ode_sim import _field_arrays
+    return _field_arrays(p, x, y)

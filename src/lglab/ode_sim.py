@@ -7,6 +7,9 @@ reproducible bit-for-bit and lets the noise-free stochastic scheme collapse
 onto it.  RK4 is the workhorse for analysis.  A vectorized batch integrator
 runs many (parameter, initial state) pairs in lockstep for the statistical
 checks in the test suite.
+
+This is the first layer that needs numpy, so the array forms of the model
+live here: the batch vector field and the Jacobian matrix.
 """
 
 from __future__ import annotations
@@ -16,15 +19,60 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Inconclusive, NonFinite, StepTooLarge, TooShort
+from .errors import Inconclusive, KinkPoint, NonFinite, StepTooLarge, TooShort
 from .model import (ModelParams, _check_burn_in, _check_h, _check_state,
-                    _field_batch, _field_scalar, _horizon)
+                    _field_scalar, _horizon)
 
 EULER = "Euler"
 RK4 = "RK4"
 
 _UNDERSHOOT = 1e-12
 _CSV_BLOCK = 4096  # rows formatted per write
+
+
+def _field_batch(a, b, k1, k2, m, x, y, out=(None, None), work=(None, None)):
+    """Array evaluation of the vector field; every argument broadcasts.
+
+    out = (v1, v2) and work are optional pairs of arrays of the broadcast
+    shape that receive the result and the intermediates, so a caller in a
+    loop allocates nothing; without them every operation allocates.  A
+    (2, n) array serves as either pair, its rows unpacking as the two.  The
+    operation order is that of _field_scalar either way.
+    """
+    o1, o2 = out
+    w1, w2 = work
+    u = np.maximum(np.subtract(x, m, out=w1), 0.0, out=w1)
+    v1 = np.multiply(np.multiply(a, y, out=o1), u, out=o1)
+    v1 = np.divide(v1, np.add(k1, u, out=w2), out=o1)
+    v1 = np.subtract(np.multiply(x, np.subtract(1.0, x, out=w2), out=w2), v1,
+                     out=o1)
+    v2 = np.subtract(1.0, np.divide(y, np.add(k2, u, out=w2), out=w2), out=w2)
+    v2 = np.multiply(np.multiply(b, y, out=o2), v2, out=o2)
+    return v1, v2
+
+
+def _field_arrays(p: ModelParams, x, y):
+    """model.vector_field at a state that is not a pair of floats."""
+    return _field_batch(p.a, p.b, p.k1, p.k2, p.m,
+                        np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+
+
+def jacobian(p: ModelParams, state) -> np.ndarray:
+    """2x2 Jacobian of the vector field at a state off the refuge line.
+
+    Raises KinkPoint when m > 0 and x == m exactly: the field has a kink
+    there and one-sided derivatives must be queried at m +- eps instead.
+    """
+    x, y = state
+    if p.m > 0 and x == p.m:
+        raise KinkPoint(f"jacobian is undefined on the line x = m = {p.m}")
+    u = max(0.0, x - p.m)
+    active = 1.0 if x >= p.m else 0.0
+    j11 = 1.0 - 2.0 * x - p.a * y * p.k1 / (p.k1 + u) ** 2 * active
+    j12 = -p.a * u / (p.k1 + u)
+    j21 = p.b * y ** 2 / (p.k2 + u) ** 2 * active
+    j22 = p.b - 2.0 * p.b * y / (p.k2 + u)
+    return np.array([[j11, j12], [j21, j22]])
 
 
 @dataclass(frozen=True)
@@ -161,7 +209,9 @@ def integrate_batch(a, b, k1, k2, m, init, h: float, n_steps: int,
             raise ValueError(f"{name} must be a scalar or hold one value "
                              f"per system, shape ({len(init)},)")
     z = init.T.copy()  # C order: one row per species
-    _check_state(*z)
+    # every start passes integrate's check if the extremes do: a NaN makes
+    # the min NaN, and without one the max is finite if every start is
+    _check_state(float(z.min()), float(z.max()))
     h2, h6 = 0.5 * h, h / 6.0
     f1, f2, f3, f4, work = (np.empty_like(z) for _ in range(5))
     lo = np.full_like(z, np.inf)

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import PositivityViolation
 from .model import (ModelParams, _check_burn_in, _check_h, _check_state,
-                    _field_batch, _field_scalar, _horizon)
-from .ode_sim import Trajectory, _write_rows
+                    _field_scalar, _horizon)
+from .ode_sim import Trajectory, _field_batch, _write_rows
 from .qualitative import STATIONARY, Region, stochastic_regime
 
 MILSTEIN = "Milstein"

@@ -1,17 +1,27 @@
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import lglab
 from lglab import ModelParams, equilibria, ode_sim, qualitative
-from lglab.cli import _SDE_MODES, _build_parser, _dump, analysis_report, main
+from lglab.cli import (_SDE_MODES, _build_parser, _dump, _grid,
+                       analysis_report, main)
 
 THREE = ["--a", "0.5", "--b", "0.1", "--k1", "0.08", "--k2", "0.2",
          "--m", "0.0025"]
+HOPF = ["--a", "1.1", "--b", "0.2", "--k1", "0.08", "--k2", "0.01",
+        "--m", "0.0025"]
 STOCH = ["--a", "0.4", "--b", "0.1", "--k1", "0.08", "--k2", "0.2",
          "--m", "0.0025", "--sigma1", "0.1", "--sigma2", "0.1"]
 
@@ -548,6 +558,25 @@ class TestScan:
                                  "--steps", "1"])
         assert code == 1
 
+    # ends anywhere up to 1e300, or tiny, so that spans can be subnormal
+    END = st.one_of(st.floats(-1e300, 1e300), st.floats(-1e-300, 1e-300))
+
+    @settings(max_examples=500, deadline=None)
+    @given(ends=st.one_of(st.tuples(END, END), END.map(lambda v: (v, v))),
+           steps=st.integers(2, 200))
+    @example(ends=(0.2, 0.5), steps=16)
+    @example(ends=(0.5, 0.1), steps=5)
+    @example(ends=(0.3, 0.3), steps=7)
+    @example(ends=(0.0, 5e-324), steps=200)
+    @example(ends=(3e-310, 2.9e-310), steps=3)
+    def test_grid_is_linspace_bit_for_bit(self, ends, steps):
+        lo, hi = ends
+        expected = np.linspace(lo, hi, steps)
+        if lo > hi:
+            expected = expected[::-1]
+        assert (np.array(_grid(lo, hi, steps)).view(np.uint64).tolist()
+                == expected.view(np.uint64).tolist())
+
 
 @pytest.mark.parametrize("argv, message", [
     (["sde", "path", *STOCH, *seeded("path"), "--x0", "nan"],
@@ -572,3 +601,71 @@ class TestScan:
 ])
 def test_non_finite_input_is_exit_1(capsys, argv, message):
     assert_one_error(*run(capsys, argv), message)
+
+
+# every name `dir(lglab)` listed when the package imported numpy eagerly
+PACKAGE_NAMES = (
+    "Analysis", "ComparisonBundle", "CountReport", "CubicCoeffs",
+    "CycleReport", "EnsembleStats", "Equilibrium", "HopfData", "Inconclusive",
+    "IndexReport", "InvalidParams", "KinkPoint", "LglabError", "LongRunBounds",
+    "ModelParams", "NoHopf", "NoisePath", "NonFinite", "NonHyperbolicPresent",
+    "NotAnEquilibrium", "NumericalFailure", "PersistenceReport",
+    "PositivityViolation", "RawParams", "RegimeCertificate", "Region",
+    "SamplePath", "StepTooLarge", "TooShort", "Trajectory", "__version__",
+    "analyze", "classify", "comparison_bundle", "count_interior_equilibria",
+    "cubic_coefficients", "detect_limit_cycle", "ensemble", "equilibria",
+    "errors", "explicit_upper_prey", "find_interior_equilibria",
+    "global_stability_condition", "hitting_time", "hopf_point",
+    "index_sum_check", "integrate", "invariant_region", "jacobian",
+    "load_params", "long_run_bounds", "make_noise", "model",
+    "no_cycle_conditions", "nondimensionalize", "ode_sim",
+    "persistence_report", "qualitative", "sde_sim", "simulate_path",
+    "stationary_histogram", "stochastic_regime", "trivial_equilibria",
+    "vector_field")
+
+
+def test_analysis_runs_without_numpy(tmp_path):
+    # a fresh interpreter, so modules imported by other tests do not count;
+    # numpy loads on the first simulation call and not before
+    out = str(tmp_path / "artifact")
+    script = textwrap.dedent(f"""
+        import contextlib, io, json, sys
+        import lglab
+        from lglab import InvalidParams, ModelParams
+        from lglab.cli import main
+        hopf = {HOPF!r}
+        listed = dir(lglab)
+        for argv in (["analyze", *hopf], ["analyze", *hopf, "--hopf"],
+                     ["scan", *hopf, "--scan", "b", "--from", "0.2",
+                      "--to", "0.5", "--steps", "4"]):
+            assert main([*argv, "--out", {out!r}]) == 0, argv
+        with contextlib.redirect_stdout(io.StringIO()):
+            try:
+                main(["--help"])
+            except SystemExit as exc:
+                assert exc.code == 0
+        try:
+            ModelParams(a=True, b=0.1, k1=0.08, k2=0.2)
+            refused = None
+        except InvalidParams as exc:
+            refused = str(exc)
+        analysis = "numpy" in sys.modules
+        assert main(["ode", *hopf, "--t-max", "1", "--out", {out!r}]) == 0
+        print(json.dumps({{"listed": listed, "refused": refused,
+                          "analysis": analysis,
+                          "ode": "numpy" in sys.modules,
+                          "unresolved": [n for n in listed
+                                         if not hasattr(lglab, n)]}}))
+    """)
+    src = os.path.dirname(os.path.dirname(lglab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout)
+    assert seen["analysis"] is False
+    assert seen["refused"] == "a must be a number, not a boolean"
+    assert seen["ode"] is True
+    assert set(PACKAGE_NAMES) <= set(seen["listed"])
+    assert seen["unresolved"] == []

@@ -172,6 +172,26 @@ class TestNoCycle:
         certs = self.by_clause(ModelParams(a=1, b=0.9, k1=0.2, k2=0.5, m=0.0))
         assert certs["no_cycle_b_plus_k1"].holds
 
+    def test_b_plus_k1_draws_settle(self):
+        # no cycle under m = 0 and b + k1 >= 1: the bistable example and 15
+        # draws at the clause's boundary, b + k1 in [1, 1.05], 4 random
+        # starts each, spread at most 1e-3 over the last 10% of t in [0, 1000]
+        rng = np.random.default_rng(1717)
+        draws = [ModelParams(**BISTABLE)]
+        while len(draws) < 16:
+            p = random_params(rng, m_mode="zero")
+            if (1.0 <= p.b + p.k1 <= 1.05
+                    and self.by_clause(p)["no_cycle_b_plus_k1"].holds):
+                draws.append(p)
+        per, h, n_steps = 4, 0.05, 20_000
+        init = rng.uniform(0.01, 1.2, size=(len(draws) * per, 2))
+        cols = [np.repeat([getattr(p, n) for p in draws], per)
+                for n in ("a", "b", "k1", "k2", "m")]
+        _, (lo_x, hi_x, lo_y, hi_y) = integrate_batch(
+            *cols, init, h, n_steps, tail_start=n_steps - n_steps // 10)
+        spread = np.maximum(hi_x - lo_x, hi_y - lo_y)
+        assert spread.max() <= 1e-3, draws[int(np.argmax(spread)) // per]
+
     def test_existence_clause_consistency(self, rng):
         seen = 0
         for _ in range(300):
