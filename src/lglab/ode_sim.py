@@ -28,6 +28,17 @@ RK4 = "RK4"
 
 _UNDERSHOOT = 1e-12
 _CSV_BLOCK = 4096  # rows formatted per write
+_RETIRE_EVERY = 1024  # integrate_batch steps between checks for frozen systems
+
+
+def _const(v) -> np.ndarray:
+    """v as a 0-d float64 array: as a ufunc operand it gives the bits the
+    Python float gives, and a call in a loop skips converting that float
+    each time.  (An np.float64 scalar is no faster than the float.)"""
+    return np.array(v, dtype=float)
+
+
+_ZERO, _ONE, _TWO = _const(0.0), _const(1.0), _const(2.0)
 
 
 def _field_batch(a, b, k1, k2, m, x, y, out=(None, None), work=(None, None)):
@@ -36,17 +47,20 @@ def _field_batch(a, b, k1, k2, m, x, y, out=(None, None), work=(None, None)):
     out = (v1, v2) and work are optional pairs of arrays of the broadcast
     shape that receive the result and the intermediates, so a caller in a
     loop allocates nothing; without them every operation allocates.  A
-    (2, n) array serves as either pair, its rows unpacking as the two.  The
-    operation order is that of _field_scalar either way.
+    (2, n) array serves as either pair.  Its rows are indexed, not
+    unpacked: unpacking an array builds an iterator and costs several times
+    as much as indexing its two rows (0.79 against 0.17 us on a 2-vCPU
+    Xeon VM), and the lockstep kernels call this once per SDE step and four
+    times per RK4 step.  The operation order is that of _field_scalar
+    either way.
     """
-    o1, o2 = out
-    w1, w2 = work
-    u = np.maximum(np.subtract(x, m, out=w1), 0.0, out=w1)
+    o1, o2, w1, w2 = out[0], out[1], work[0], work[1]
+    u = np.maximum(np.subtract(x, m, out=w1), _ZERO, out=w1)
     v1 = np.multiply(np.multiply(a, y, out=o1), u, out=o1)
     v1 = np.divide(v1, np.add(k1, u, out=w2), out=o1)
-    v1 = np.subtract(np.multiply(x, np.subtract(1.0, x, out=w2), out=w2), v1,
+    v1 = np.subtract(np.multiply(x, np.subtract(_ONE, x, out=w2), out=w2), v1,
                      out=o1)
-    v2 = np.subtract(1.0, np.divide(y, np.add(k2, u, out=w2), out=w2), out=w2)
+    v2 = np.subtract(_ONE, np.divide(y, np.add(k2, u, out=w2), out=w2), out=w2)
     v2 = np.multiply(np.multiply(b, y, out=o2), v2, out=o2)
     return v1, v2
 
@@ -128,18 +142,20 @@ def _settle(x: float, y: float, k: int) -> tuple[float, float]:
     return max(x, 0.0), max(y, 0.0)
 
 
-def _clamp_rows(z: np.ndarray, k: int) -> None:
+def _clamp_rows(z: np.ndarray, k: int, rows: np.ndarray) -> None:
     """integrate's rule for a (2, n) batch state after step k, in place: the
     first system integrate would stop on raises NonFinite or StepTooLarge,
-    else undershoots within round-off become 0.0 (a -0.0 stays)."""
+    naming it by its index in rows, else undershoots within round-off
+    become 0.0 (a -0.0 stays)."""
     finite = np.isfinite(z).all(axis=0)
     bad = ~finite | (z < -_UNDERSHOOT).any(axis=0)
     if bad.any():
         i = int(np.argmax(bad))
         if not finite[i]:
-            raise NonFinite(f"non-finite state at step {k} in system {i}")
+            raise NonFinite(f"non-finite state at step {k} "
+                            f"in system {rows[i]}")
         raise StepTooLarge(f"state left the closed quadrant at step {k} "
-                           f"in system {i}", step_index=k)
+                           f"in system {rows[i]}", step_index=k)
     z[z < 0.0] = 0.0
 
 
@@ -195,6 +211,12 @@ def integrate_batch(a, b, k1, k2, m, init, h: float, n_steps: int,
     the last step.  Inputs are checked before the first step, with the
     errors integrate and ModelParams raise; a parameter of another shape
     raises ValueError naming it.
+
+    Every _RETIRE_EVERY steps, the systems whose last step returned the
+    finite state it started from, bit for bit, are retired: a system's step
+    depends only on its own state and parameters, so each later step would
+    return that state again.  Their results are stored and the rest step
+    on, compacted; results do not change.
     """
     _check_h(h)
     if not 0 <= tail_start <= n_steps:
@@ -212,25 +234,66 @@ def integrate_batch(a, b, k1, k2, m, init, h: float, n_steps: int,
     # every start passes integrate's check if the extremes do: a NaN makes
     # the min NaN, and without one the max is finite if every start is
     _check_state(float(z.min()), float(z.max()))
-    h2, h6 = 0.5 * h, h / 6.0
-    f1, f2, f3, f4, work = (np.empty_like(z) for _ in range(5))
+    # a parameter shared by all systems is 0-d, one per system is compacted
+    params = [_const(v).reshape(()) if np.size(v) == 1 else _const(v)
+              for v in (a, b, k1, k2, m)]
+    h, h2, h6 = _const(h), _const(0.5 * h), _const(h / 6.0)
+    final, lo_out, hi_out = (np.empty_like(z) for _ in range(3))
+    rows = np.arange(z.shape[1])  # original index of each stepped system
     lo = np.full_like(z, np.inf)
     hi = np.full_like(z, -np.inf)
     if tail_start == 0:
         np.minimum(lo, z, out=lo); np.maximum(hi, z, out=hi)
-    for k in range(n_steps):
-        _field_batch(a, b, k1, k2, m, *z, out=f1, work=work)
-        _field_batch(a, b, k1, k2, m, *(z + h2 * f1), out=f2, work=work)
-        _field_batch(a, b, k1, k2, m, *(z + h2 * f2), out=f3, work=work)
-        _field_batch(a, b, k1, k2, m, *(z + h * f3), out=f4, work=work)
-        z = z + h6 * (f1 + 2.0 * (f2 + f3) + f4)
+
+    def store(sel):
+        # the tail bounds take in the final state, which a system retired
+        # before tail_start holds over the whole tail
+        zs, at = z[:, sel], rows[sel]
+        final[:, at] = zs
+        lo_out[:, at] = np.minimum(lo[:, sel], zs)
+        hi_out[:, at] = np.maximum(hi[:, sel], zs)
+
+    def buffers():
+        # RK4's stage buffers f1..f4 and s, then the rows of z, of each of
+        # them and of a work array, each indexed once
+        bufs = [np.empty_like(z) for _ in range(6)]
+        return (*bufs[:5], *((v[0], v[1]) for v in (z, *bufs)))
+
+    f1, f2, f3, f4, s, zr, fr1, fr2, fr3, fr4, sr, wr = buffers()
+    for k in range(1, n_steps + 1):
+        start = z.copy() if k % _RETIRE_EVERY == 0 else None
+        _field_batch(*params, *zr, out=fr1, work=wr)
+        np.add(z, np.multiply(h2, f1, out=s), out=s)
+        _field_batch(*params, *sr, out=fr2, work=wr)
+        np.add(z, np.multiply(h2, f2, out=s), out=s)
+        _field_batch(*params, *sr, out=fr3, work=wr)
+        np.add(z, np.multiply(h, f3, out=s), out=s)
+        _field_batch(*params, *sr, out=fr4, work=wr)
+        # z + h6*((f1 + 2*(f2 + f3)) + f4), integrate's order
+        np.multiply(_TWO, np.add(f2, f3, out=s), out=s)
+        np.add(np.add(f1, s, out=s), f4, out=s)
+        np.add(z, np.multiply(h6, s, out=s), out=z)
         if not z.min() >= 0.0:  # also catches NaN
-            _clamp_rows(z, k + 1)
-        if k + 1 >= tail_start:
+            _clamp_rows(z, k, rows)
+        if k >= tail_start:
             np.minimum(lo, z, out=lo); np.maximum(hi, z, out=hi)
+        if start is None:
+            continue
+        frozen = ((z.view(np.int64) == start.view(np.int64)).all(axis=0)
+                  & np.isfinite(z).all(axis=0))
+        if frozen.any():
+            store(frozen)
+            keep = ~frozen
+            rows = rows[keep]
+            z, lo, hi = (np.compress(keep, v, axis=1) for v in (z, lo, hi))
+            if not len(rows):
+                break
+            params = [v[keep] if v.ndim else v for v in params]
+            f1, f2, f3, f4, s, zr, fr1, fr2, fr3, fr4, sr, wr = buffers()
     if not np.isfinite(z).all():
         raise NonFinite("non-finite state in batch integration")
-    return z.T.copy(), (lo[0], hi[0], lo[1], hi[1])
+    store(slice(None))
+    return final.T.copy(), (lo_out[0], hi_out[0], lo_out[1], hi_out[1])
 
 
 def detect_limit_cycle(p: ModelParams, traj: Trajectory,

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import PositivityViolation
 from .model import (ModelParams, _check_burn_in, _check_h, _check_state,
                     _field_scalar, _horizon)
-from .ode_sim import Trajectory, _field_batch, _write_rows
+from .ode_sim import _ONE, Trajectory, _const, _field_batch, _write_rows
 from .qualitative import STATIONARY, Region, stochastic_regime
 
 MILSTEIN = "Milstein"
@@ -278,7 +278,8 @@ def _lockstep(p: ModelParams, scheme: str, x0: float, y0: float,
     Milstein raises PositivityViolation naming the first path whose
     positive component steps to <= 0.
     """
-    a, b, k1, k2, m = p.a, p.b, p.k1, p.k2, p.m
+    # 0-d operands: a ufunc call with a Python float pays a conversion
+    params = [_const(v) for v in (p.a, p.b, p.k1, p.k2, p.m)]
     sqh = math.sqrt(h)
     scale = (p.sigma1 * sqh, p.sigma2 * sqh)
     d = np.array([[0.5 * p.sigma1 * p.sigma1], [0.5 * p.sigma2 * p.sigma2]])
@@ -289,6 +290,8 @@ def _lockstep(p: ModelParams, scheme: str, x0: float, y0: float,
     noise = np.empty((chunk, 2, n_paths))   # scaled increments by step
     v = np.empty((2, n_paths))
     work = np.empty((2, n_paths))
+    vr, wr = (v[0], v[1]), (work[0], work[1])  # rows indexed once
+    h = _const(h)
     z = np.array([[x0], [y0]]).repeat(n_paths, axis=1)
     yield 0, z
     for start in range(0, n, _CHUNK):
@@ -306,7 +309,7 @@ def _lockstep(p: ModelParams, scheme: str, x0: float, y0: float,
                 np.subtract(tmp, d[c, 0] * h, out=tmp)
                 np.add(e, tmp, out=e)
         for j in range(span):
-            _field_batch(a, b, k1, k2, m, z[0], z[1], out=v, work=work)
+            _field_batch(*params, z[0], z[1], out=vr, work=wr)
             if scheme == MILSTEIN:
                 zn = np.multiply(z, noise[j])
                 np.add(zn, np.multiply(v, h, out=v), out=zn)
@@ -320,7 +323,7 @@ def _lockstep(p: ModelParams, scheme: str, x0: float, y0: float,
             else:
                 zero = None if z.all() else z == 0.0
                 # the drift vanishes on an axis, so 0/1 stands in for 0/0
-                np.divide(v, z if zero is None else np.where(zero, 1.0, z),
+                np.divide(v, z if zero is None else np.where(zero, _ONE, z),
                           out=v)
                 np.subtract(v, d, out=v)
                 np.multiply(v, h, out=v)
@@ -360,8 +363,9 @@ def ensemble(p: ModelParams, init, scheme: str, n_paths: int, seed0: int,
     the histogram pools every hist_thin-th post-burn-in state of every
     path, and the extinction fractions are read off the last state.  Noise
     is drawn per path from the same generators a single simulate_path run
-    would use.  Checkpoints must lie in [0, t_max] and round to distinct
-    grid steps.
+    would use.  Checkpoints must be distinct grid times in [0, t_max]: a
+    checkpoint t is refused unless t/h lies within a relative 1e-9 of an
+    integer, so no moments are reported under a time they were not taken at.
     """
     x0, y0, n = _check_run(scheme, init, n_paths, h, t_max)
     _check_burn_in(burn_in)
@@ -373,7 +377,11 @@ def ensemble(p: ModelParams, init, scheme: str, n_paths: int, seed0: int,
     ck_times = np.asarray(checkpoints, dtype=float)
     if not ((ck_times >= 0.0) & (ck_times <= t_max)).all():
         raise ValueError("checkpoints must lie in [0, t_max]")
-    ck_steps = {int(round(t / h)): i for i, t in enumerate(ck_times)}
+    ck_steps = {}
+    for i, t in enumerate(ck_times.tolist()):
+        if abs(t / h - round(t / h)) > 1e-9 * (t / h):
+            raise ValueError(f"checkpoint {t} is not a grid time of h = {h}")
+        ck_steps[round(t / h)] = i
     if len(ck_steps) < len(ck_times):
         raise ValueError("checkpoints must fall on distinct grid steps")
     burn_step = int(round(burn_in / h))

@@ -16,6 +16,8 @@ from lglab import (
     nondimensionalize,
     vector_field,
 )
+from lglab.model import _field_scalar
+from lglab.ode_sim import _field_batch
 
 from conftest import random_params
 
@@ -152,6 +154,23 @@ class TestField:
         for i in range(50):
             s1, s2 = vector_field(p, (float(xs[i]), float(ys[i])))
             assert v1[i] == s1 and v2[i] == s2
+        # the batch kernel writing into out/work given as row pairs or as
+        # (2, n) arrays, with float or 0-d parameters, at stage inputs an
+        # integrator meets: x < m, x == m, signed zeros, negative values
+        p = random_params(rng, m_mode="positive")
+        params = (p.a, p.b, p.k1, p.k2, p.m)
+        xs = np.array([*xs[:6], 0.5 * p.m, p.m, 0.0, -0.0, -1e-13, -0.0])
+        ys = np.array([*ys[:6], 0.3, 0.4, -0.0, 0.2, 0.5, -1e-13])
+        want = np.array([_field_scalar(*params, x, y)
+                         for x, y in zip(xs.tolist(), ys.tolist())]).T
+        n = len(xs)
+        for pair in (lambda: np.empty((2, n)),
+                     lambda: (np.empty(n), np.empty(n))):
+            for args in (params, [np.array(v) for v in params]):
+                out, work = pair(), pair()
+                got = _field_batch(*args, xs, ys, out=out, work=work)
+                assert np.array(got).tobytes() == want.tobytes()
+                assert np.array(out).tobytes() == want.tobytes()
 
     @given(st.floats(0, 1.5), st.floats(0, 1.5))
     @settings(max_examples=50, deadline=None)

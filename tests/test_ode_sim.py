@@ -21,6 +21,7 @@ from lglab import (
     long_run_bounds,
     persistence_report,
 )
+from lglab import ode_sim
 from lglab.model import _field_scalar
 from lglab.ode_sim import EULER, RK4, integrate_batch, write_csv
 
@@ -258,6 +259,83 @@ class TestBatchValidation:
             integrate(self.P, state, RK4, h=h, t_max=1.0)
         with pytest.raises(ValueError, match=match):
             self.run(init=np.array([[0.4, 0.5], state]), h=h)
+
+
+def _freeze_step(states):
+    """The first step from which every step of a trajectory returns the
+    state it started from, bit for bit, or None if the last one does not."""
+    same = (states[1:].view(np.int64) == states[:-1].view(np.int64)).all(
+        axis=1)
+    if not same[-1]:
+        return None
+    return len(same) - int(np.argmin(same[::-1])) + 1 if not same.all() else 1
+
+
+class TestRetirement:
+    # integrate_batch retires a system whose step returned its own state at
+    # a check every 1024 steps; results must not change
+    EVERY = 1024
+
+    def test_retired_rows_equal_integrate(self):
+        # h 0.1 makes most rows freeze within the run, at scattered steps
+        rng = np.random.default_rng(10)
+        rows = [random_params(rng) for _ in range(16)]
+        init = rng.uniform(0.05, 1.2, (16, 2))
+        h, n_steps = 0.1, 3500
+        trajs = [integrate(p, tuple(s), RK4, h=h, t_max=n_steps * h).states
+                 for p, s in zip(rows, init)]
+        freeze = [_freeze_step(t) for t in trajs]
+        # rows freeze before the first check, between checks, after the
+        # last one (3072), and not at all
+        checks = [f and -(-f // self.EVERY) for f in freeze]
+        assert {1, 2, 3, 4, None} <= set(checks)
+        cols = [np.array([getattr(p, n) for p in rows])
+                for n in ("a", "b", "k1", "k2", "m")]
+        for tail_start in (0, 1500, 3300):
+            final, bounds = integrate_batch(*cols, init, h, n_steps,
+                                            tail_start=tail_start)
+            for i, traj in enumerate(trajs):
+                tail = traj[tail_start:]
+                ref = [traj[-1], tail[:, 0].min(), tail[:, 0].max(),
+                       tail[:, 1].min(), tail[:, 1].max()]
+                got = [final[i], *(v[i] for v in bounds)]
+                assert [np.asarray(v).tobytes() for v in got] == [
+                    np.asarray(v).tobytes() for v in ref], (tail_start, i)
+
+    def test_retired_rows_are_not_evaluated(self, monkeypatch):
+        # the origin is a fixed point from step 1, retired at the first
+        # check; the other row is still moving at step 2100
+        widths = []
+
+        def spy(*args, **kw):
+            widths.append(np.shape(args[5]))
+            return field(*args, **kw)
+
+        field = ode_sim._field_batch
+        monkeypatch.setattr(ode_sim, "_field_batch", spy)
+        init = np.array([[0.0, 0.0], [0.9, 0.3]])
+        p = STOCH_FIG
+        final, _ = integrate_batch(p.a, p.b, p.k1, p.k2, p.m, init, 0.01, 2100)
+        cut = 4 * self.EVERY  # four evaluations per RK4 step
+        assert widths == [(2,)] * cut + [(1,)] * (4 * 2100 - cut)
+        traj = integrate(p, (0.9, 0.3), RK4, h=0.01, t_max=21.0)
+        assert final.tobytes() == np.array([[0.0, 0.0],
+                                            traj.states[-1]]).tobytes()
+
+    def test_error_after_retirement_names_the_original_system(self):
+        # found by a scalar scan: integrate leaves the quadrant at step
+        # 1548, after the origin's row is retired at step 1024
+        p = ModelParams(a=0.4487268741030223, b=0.9453387114860401,
+                        k1=0.056895665921279176, k2=1.1174880258645683,
+                        m=0.12085130773692304)
+        state, h = (0.6013243997329993, 0.4620585163457589), 2.0
+        with pytest.raises(StepTooLarge, match="at step 1548$"):
+            integrate(p, state, RK4, h=h, t_max=3000 * h)
+        init = np.array([[0.0, 0.0], state])
+        with pytest.raises(StepTooLarge,
+                           match="at step 1548 in system 1$") as got:
+            integrate_batch(p.a, p.b, p.k1, p.k2, p.m, init, h, 3000)
+        assert got.value.step_index == 1548
 
 
 class TestCycle:

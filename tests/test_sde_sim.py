@@ -324,7 +324,8 @@ class TestEnsemble:
                                rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("checkpoints", [[1.0, 1.0, 2.0], [1.0, 1.001],
-                                             [3.0], [-0.5], [float("nan")]])
+                                             [3.0], [-0.5], [float("nan")],
+                                             [0.005, 0.5]])
     def test_bad_checkpoints_rejected(self, checkpoints):
         with pytest.raises(ValueError, match="checkpoint"):
             ensemble(STOCH, (0.55, 0.6), LOG_EULER, n_paths=2, seed0=0,
