@@ -335,73 +335,103 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _model_flags(p: argparse.ArgumentParser) -> None:
+    """The flags every subcommand reads: the model, its files and --out."""
+    g = p.add_argument_group("model parameters")
+    for name in _MODEL_FIELDS:
+        g.add_argument(f"--{name}", type=float, default=None)
+    files = g.add_mutually_exclusive_group()
+    files.add_argument("--params", metavar="FILE", help="JSON file with dimensionless parameters")
+    files.add_argument("--raw", metavar="FILE", help="JSON file with dimensional parameters")
+    p.add_argument("--out", default="-")
+
+
+def _run_flags(p: argparse.ArgumentParser) -> None:
+    """The flags ode and sde read beyond the model: start and horizon."""
+    p.add_argument("--t-max", type=float, default=None)
+    p.add_argument("--x0", type=float, default=0.5)
+    p.add_argument("--y0", type=float, default=0.5)
+    p.add_argument("--burn-in", type=float, default=None)
+
+
+def _analyze_flags(p: argparse.ArgumentParser) -> None:
+    _model_flags(p)
+    p.add_argument("--hopf", action="store_true",
+                   help="compute critical b and the Lyapunov coefficient")
+    p.set_defaults(func=cmd_analyze)
+
+
+def _ode_flags(p: argparse.ArgumentParser) -> None:
+    _model_flags(p)
+    _run_flags(p)
+    p.add_argument("--scheme", choices=("euler", "rk4"), default="rk4")
+    p.add_argument("--h", type=float, default=1e-3)
+    p.add_argument("--detect-cycle", action="store_true")
+    p.set_defaults(func=cmd_ode)
+
+
+def _sde_flags(p: argparse.ArgumentParser) -> None:
+    _model_flags(p)
+    _run_flags(p)
+    p.epilog = _SDE_EPILOG
+    p.add_argument("mode", choices=tuple(_SDE_MODES))
+    p.add_argument("--scheme", choices=("milstein", "log-euler"),
+                   default="log-euler")
+    p.add_argument("--h", type=float, default=1e-2)
+    p.add_argument("--seed", type=int, required=True,
+                   help="explicit seed; stochastic runs have no implicit entropy")
+    p.add_argument("--paths", type=int, default=None,
+                   help="number of paths")
+    p.add_argument("--bins", type=int, default=None,
+                   help="histogram bins per axis")
+    p.add_argument("--checkpoints", default=None,
+                   help="comma-separated times (default: t-max)")
+    p.add_argument("--comparison", action="store_true", default=None,
+                   help="include bracketing-process columns")
+    p.add_argument("--shared-noise", action="store_true", default=None,
+                   help="drive the prey diffusion with the predator increments")
+    p.add_argument("--target", default=None,
+                   help="rectangle x_lo,x_hi,y_lo,y_hi")
+    p.add_argument("--t-cap", type=float, default=None,
+                   help="censoring time of a path that never enters")
+    p.set_defaults(func=cmd_sde)
+
+
+def _scan_flags(p: argparse.ArgumentParser) -> None:
+    _model_flags(p)
+    p.add_argument("--scan", dest="name", required=True, choices=_MODEL_FIELDS)
+    p.add_argument("--from", dest="lo", type=float, required=True)
+    p.add_argument("--to", dest="hi", type=float, required=True)
+    p.add_argument("--steps", type=int, required=True)
+    p.set_defaults(func=cmd_scan)
+
+
+# Each subcommand's help line and the function that adds its flags
+_COMMANDS = {
+    "analyze": ("equilibria, taxonomy and certificates", _analyze_flags),
+    "ode": ("deterministic trajectory CSV", _ode_flags),
+    "sde": ("stochastic paths and statistics", _sde_flags),
+    "scan": ("one-parameter sweep CSV", _scan_flags),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `lglab` parser, with the flags of `command` only (of all if None).
+
+    Every subcommand is registered: the top-level help, choices and errors
+    read only the names and help lines.  `main` passes the subcommand its
+    argv runs, so a subparser left without its flags never parses.
+    """
     parser = _Parser(
         prog="lglab",
         description="Analysis and simulation of a prey-predator system "
                     "with a constant-density prey refuge.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    g = common.add_argument_group("model parameters")
-    for name in _MODEL_FIELDS:
-        g.add_argument(f"--{name}", type=float, default=None)
-    files = g.add_mutually_exclusive_group()
-    files.add_argument("--params", metavar="FILE", help="JSON file with dimensionless parameters")
-    files.add_argument("--raw", metavar="FILE", help="JSON file with dimensional parameters")
-    common.add_argument("--out", default="-")
-    run = argparse.ArgumentParser(add_help=False)  # ode and sde
-    run.add_argument("--t-max", type=float, default=None)
-    run.add_argument("--x0", type=float, default=0.5)
-    run.add_argument("--y0", type=float, default=0.5)
-    run.add_argument("--burn-in", type=float, default=None)
-
-    pa = sub.add_parser("analyze", parents=[common],
-                        help="equilibria, taxonomy and certificates")
-    pa.add_argument("--hopf", action="store_true",
-                    help="compute critical b and the Lyapunov coefficient")
-    pa.set_defaults(func=cmd_analyze)
-
-    po = sub.add_parser("ode", parents=[common, run],
-                        help="deterministic trajectory CSV")
-    po.add_argument("--scheme", choices=("euler", "rk4"), default="rk4")
-    po.add_argument("--h", type=float, default=1e-3)
-    po.add_argument("--detect-cycle", action="store_true")
-    po.set_defaults(func=cmd_ode)
-
-    ps = sub.add_parser("sde", parents=[common, run],
-                        help="stochastic paths and statistics",
-                        epilog=_SDE_EPILOG)
-    ps.add_argument("mode", choices=tuple(_SDE_MODES))
-    ps.add_argument("--scheme", choices=("milstein", "log-euler"),
-                    default="log-euler")
-    ps.add_argument("--h", type=float, default=1e-2)
-    ps.add_argument("--seed", type=int, required=True,
-                    help="explicit seed; stochastic runs have no implicit entropy")
-    ps.add_argument("--paths", type=int, default=None,
-                    help="number of paths")
-    ps.add_argument("--bins", type=int, default=None,
-                    help="histogram bins per axis")
-    ps.add_argument("--checkpoints", default=None,
-                    help="comma-separated times (default: t-max)")
-    ps.add_argument("--comparison", action="store_true", default=None,
-                    help="include bracketing-process columns")
-    ps.add_argument("--shared-noise", action="store_true", default=None,
-                    help="drive the prey diffusion with the predator increments")
-    ps.add_argument("--target", default=None,
-                    help="rectangle x_lo,x_hi,y_lo,y_hi")
-    ps.add_argument("--t-cap", type=float, default=None,
-                    help="censoring time of a path that never enters")
-    ps.set_defaults(func=cmd_sde)
-
-    pc = sub.add_parser("scan", parents=[common], help="one-parameter sweep CSV")
-    pc.add_argument("--scan", dest="name", required=True, choices=_MODEL_FIELDS)
-    pc.add_argument("--from", dest="lo", type=float, required=True)
-    pc.add_argument("--to", dest="hi", type=float, required=True)
-    pc.add_argument("--steps", type=int, required=True)
-    pc.set_defaults(func=cmd_scan)
-
+    for name, (help_line, add_flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if command is None or name == command:
+            add_flags(p)
     return parser
 
 
@@ -410,7 +440,12 @@ _HINTS = {StepTooLarge: "; reduce --h",
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The first word that is not a flag names the subcommand, since the
+    # top-level flags (-h, --version) take no value.  A word argparse reads
+    # as the subcommand ahead of it ("-", "-1") is refused by the top level.
+    command = next((w for w in argv if not w.startswith("-")), None)
+    args = _build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (LglabError, ValueError, OSError) as exc:

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lglab
-from lglab import ModelParams, equilibria, ode_sim, qualitative
+from lglab import ModelParams, cli, equilibria, ode_sim, qualitative
 from lglab.cli import (_SDE_MODES, _build_parser, _dump, _grid,
                        analysis_report, main)
 
@@ -24,6 +24,33 @@ HOPF = ["--a", "1.1", "--b", "0.2", "--k1", "0.08", "--k2", "0.01",
         "--m", "0.0025"]
 STOCH = ["--a", "0.4", "--b", "0.1", "--k1", "0.08", "--k2", "0.2",
          "--m", "0.0025", "--sigma1", "0.1", "--sigma2", "0.1"]
+
+# argvs whose exit code, stdout and stderr must not depend on which
+# subcommands' flags the parser holds: every subcommand and sde mode, help
+# and version, and usage errors read by the top level or by a subcommand
+CORPUS = [
+    ["analyze", *THREE], ["analyze", *HOPF, "--hopf"],
+    ["ode", *THREE, "--h", "0.1", "--t-max", "1", "--scheme", "euler"],
+    ["sde", "path", *STOCH, "--seed", "1", "--t-max", "1"],
+    ["sde", "ensemble", *STOCH, "--seed", "1", "--t-max", "1",
+     "--paths", "2"],
+    ["sde", "stationary", *STOCH, "--seed", "1", "--burn-in", "0.5",
+     "--t-max", "1"],
+    ["sde", "hitting", *STOCH, "--seed", "1", "--paths", "2", "--t-cap", "1",
+     "--target", "0.4,0.6,0.6,0.8"],
+    ["scan", *HOPF, "--scan", "b", "--from", "0.2", "--to", "0.5",
+     "--steps", "3"],
+    ["--help"], ["analyze", "--help"], ["ode", "--help"], ["sde", "--help"],
+    ["scan", "--help"], ["--version"],
+    [], ["bogus"],
+    ["analyze", *THREE, "--bogus"], ["analyze", *THREE, "stray"],
+    ["ode", *THREE, "--scheme", "midpoint"], ["sde", "path", *STOCH],
+    ["ode", *THREE, "--t-max", "1", "--detect"],
+    ["sde", *STOCH, "--seed", "1", "--t-max", "1", "--", "path"],
+    ["--", "analyze", *THREE],
+    ["-x", "analyze", *THREE], ["-1", "analyze", *THREE],
+    ["--version", "analyze"],
+]
 
 
 def seeded(mode):
@@ -44,6 +71,16 @@ def load_schema(name):
 def run(capsys, argv):
     code = main(argv)
     return code, capsys.readouterr()
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of `main(argv)`, a SystemExit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
 
 
 def assert_one_error(code, out, message):
@@ -533,6 +570,53 @@ class TestParser:
              "--k2", "0.2", *argv[1:]]))
         assert args.pop("func").__name__ == f"cmd_{argv[0]}"
         assert args == dict(self.MODEL, command=argv[0], **expected)
+
+    @pytest.mark.parametrize("argv", CORPUS)
+    def test_parser_with_every_subcommands_flags_reads_the_same(
+            self, capsys, monkeypatch, argv):
+        # main adds flags to the named subcommand only; with every
+        # subcommand's flags added it prints and returns the same
+        alone = outcome(capsys, argv)
+        full = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda command=None: full())
+        assert outcome(capsys, argv) == alone
+
+    def test_analyze_adds_only_its_own_flags(self, capsys, monkeypatch):
+        called = []
+        for name, (help_line, add_flags) in cli._COMMANDS.items():
+            def spy(p, name=name, add_flags=add_flags):
+                called.append(name)
+                add_flags(p)
+            monkeypatch.setitem(cli._COMMANDS, name, (help_line, spy))
+        assert run(capsys, ["analyze", *THREE])[0] == 0
+        assert called == ["analyze"]
+
+    @pytest.mark.parametrize("command", ["analyze", "ode", "sde", "scan"])
+    def test_parameter_files_are_listed_as_model_parameters(
+            self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        sections = dict(re.findall(r"^(\S[^\n]*):\n((?:  [^\n]*\n)*)",
+                                   capsys.readouterr().out, re.M))
+        for flag in ("--params FILE", "--raw FILE"):
+            assert flag in sections["model parameters"]
+            assert flag not in sections["options"]
+
+    def test_console_entry_reads_sys_argv(self, tmp_path):
+        # `python -m lglab.cli` calls main() without argv, as the `lglab`
+        # script does; its artifact is the in-process one, byte for byte
+        argv = ["analyze", *HOPF, "--hopf", "--out"]
+        assert main([*argv, str(tmp_path / "in-process")]) == 0
+        src = os.path.dirname(os.path.dirname(lglab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        done = subprocess.run(
+            [sys.executable, "-m", "lglab.cli", *argv,
+             str(tmp_path / "console")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+        assert ((tmp_path / "console").read_bytes()
+                == (tmp_path / "in-process").read_bytes())
 
 
 class TestScan:

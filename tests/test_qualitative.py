@@ -146,6 +146,28 @@ class TestGlobalStability:
         an = analyze(ModelParams(**kwargs))
         assert global_stability_condition(an).holds is holds
 
+    def test_boundary_draws_reach_the_equilibrium(self):
+        # 16 holding draws with 2m + k1 - 1 in [0, 0.05], 4 random starts
+        # each: every final state at t = 1000 lies within 1e-3 of the one
+        # interior equilibrium
+        rng = np.random.default_rng(2020)
+        draws = []
+        while len(draws) < 16:
+            p = random_params(rng)
+            if (0.0 <= 2.0 * p.m + p.k1 - 1.0 <= 0.05
+                    and global_stability_condition(analyze(p)).holds):
+                draws.append(p)
+        per, h, n_steps = 4, 0.05, 20_000
+        init = rng.uniform(0.01, 1.2, size=(len(draws) * per, 2))
+        cols = [np.repeat([getattr(p, n) for p in draws], per)
+                for n in ("a", "b", "k1", "k2", "m")]
+        final, _ = integrate_batch(*cols, init, h, n_steps)
+        target = np.repeat([[e.x, e.y] for e in
+                            (analyze(p).interior[0] for p in draws)], per,
+                           axis=0)
+        dist = np.hypot(*(final - target).T)
+        assert dist.max() <= 1e-3, draws[int(np.argmax(dist)) // per]
+
     def test_implies_unique_equilibrium(self, rng):
         hits = 0
         while hits < 1000:
@@ -182,6 +204,26 @@ class TestNoCycle:
             p = random_params(rng, m_mode="zero")
             if (1.0 <= p.b + p.k1 <= 1.05
                     and self.by_clause(p)["no_cycle_b_plus_k1"].holds):
+                draws.append(p)
+        per, h, n_steps = 4, 0.05, 20_000
+        init = rng.uniform(0.01, 1.2, size=(len(draws) * per, 2))
+        cols = [np.repeat([getattr(p, n) for p in draws], per)
+                for n in ("a", "b", "k1", "k2", "m")]
+        _, (lo_x, hi_x, lo_y, hi_y) = integrate_batch(
+            *cols, init, h, n_steps, tail_start=n_steps - n_steps // 10)
+        spread = np.maximum(hi_x - lo_x, hi_y - lo_y)
+        assert spread.max() <= 1e-3, draws[int(np.argmax(spread)) // per]
+
+    def test_dulac_draws_settle(self):
+        # no cycle under the Dulac clause: 16 holding draws with
+        # k2 - (1 - m) in (0, 0.05], 4 random starts each, spread at most
+        # 1e-3 over the last 10% of t in [0, 1000]
+        rng = np.random.default_rng(2121)
+        draws = []
+        while len(draws) < 16:
+            p = random_params(rng, m_mode="positive")
+            if (0.0 < p.k2 - (1.0 - p.m) <= 0.05
+                    and self.by_clause(p)["no_cycle_dulac"].holds):
                 draws.append(p)
         per, h, n_steps = 4, 0.05, 20_000
         init = rng.uniform(0.01, 1.2, size=(len(draws) * per, 2))
