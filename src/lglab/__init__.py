@@ -6,10 +6,9 @@ predator with saturating uptake and prey-dependent carrying capacity.
 The analysis layers (model, equilibria, qualitative) need only the standard
 library.  The simulation layers need numpy, so they and their names are
 imported on first access: `from lglab import simulate_path` and
-`lglab.sde_sim` work as if they had been imported here.
+`lglab.sde_sim` work as if they had been imported here, and so does
+`from lglab import *`, which imports them.
 """
-
-import importlib
 
 from .errors import (
     Inconclusive,
@@ -72,14 +71,19 @@ _LAZY = {
                 "simulate_path", "stationary_histogram"),
 }
 
+# the names and submodules an eager package bound, lazy ones included
+__all__ = sorted({*(n for n in globals() if not n.startswith("_")), *_LAZY,
+                  *(n for ns in _LAZY.values() for n in ns)})
+
 
 def __getattr__(name):
     for module, names in _LAZY.items():
         if name == module or name in names:
-            mod = importlib.import_module(f".{module}", __name__)
+            from importlib import import_module
+            mod = import_module(f".{module}", __name__)
             return mod if name == module else getattr(mod, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted({*globals(), *_LAZY, *(n for ns in _LAZY.values() for n in ns)})
+    return sorted({*globals(), *__all__})

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -119,15 +120,23 @@ def nondimensionalize(raw: RawParams, sigma1: float = 0.0, sigma2: float = 0.0) 
 def load_params(obj) -> ModelParams:
     """Build ModelParams from a dict, JSON string, or path to a JSON file.
 
-    Accepts either the dimensionless fields directly or {"raw": {...}}, which
-    triggers nondimensionalize.  Missing sigma fields default to 0.  A
-    missing, unknown or non-numeric field raises InvalidParams.
+    A string that names an existing file is read as that file, even when
+    the name itself parses as JSON ("123"); any other string is parsed as
+    JSON text, and failing that opened as a path, so a missing file raises
+    an OSError that names it.  Accepts either the dimensionless fields
+    directly or {"raw": {...}}, which triggers nondimensionalize.  Missing
+    sigma fields default to 0.  A missing, unknown or non-numeric field
+    raises InvalidParams.
     """
     if isinstance(obj, str):
-        try:
-            obj = json.loads(obj)
-        except json.JSONDecodeError:
-            with open(obj) as f:
+        path = obj
+        if not os.path.isfile(path):
+            try:
+                obj = json.loads(path)
+            except json.JSONDecodeError:
+                pass  # neither a file nor JSON: open() names the path
+        if obj is path:
+            with open(path) as f:
                 obj = json.load(f)
     try:  # a missing, unknown or non-numeric field fails in the constructor
         if "raw" in obj:

@@ -3,8 +3,14 @@
 Two one-step schemes are provided.  Milstein adds the Ito correction
 (1/2)*sigma^2*x*(h*xi^2 - h) to Euler-Maruyama and reduces to the plain
 Euler recursion bit-for-bit when the noise is off, but can step through
-zero.  LogEuler discretizes the exact-diffusion log coordinates and is
-strictly positivity-preserving, so it is the default for long horizons.
+zero; a step whose factor is positive and still lands at or below zero
+underflowed, and the component becomes +0.0.  LogEuler discretizes the
+exact-diffusion log coordinates and is strictly positivity-preserving, so
+it is the default for long horizons.
+
+ensemble is one loop over the steps of all its paths at once: it reduces
+each step's state, draws a chunk of noise at each chunk edge, then takes
+one lockstep step.
 
 The comparison bundle steps the four bracketing processes (stochastic
 logistic upper/lower bounds for each species) along the LogEuler
@@ -116,7 +122,8 @@ def simulate_path(p: ModelParams, init, scheme: str, noise: NoisePath,
     shared_noise drives the prey diffusion with the predator's increments
     (a published variant of the recursion); the default keeps the two
     Brownian motions independent.  Milstein raises PositivityViolation with
-    the step index if a positive component steps to <= 0.
+    the step index if a positive component steps across zero; one whose
+    step factor is positive but underflows to <= 0 lands on +0.0.
     """
     h = noise.h
     n = _horizon(h, t_max, noise.n_steps)
@@ -142,7 +149,7 @@ def _advance(p: ModelParams, scheme: str, h: float, g1s, g2s, xs, ys):
     appending each new state to xs and ys.
 
     Returns None, or under Milstein the 1-based index of the step that took
-    a positive component to <= 0; the states before it are appended.
+    a positive component across zero; the states before it are appended.
     """
     x, y = xs[-1], ys[-1]
     if scheme not in (MILSTEIN, LOG_EULER):
@@ -160,7 +167,16 @@ def _advance(p: ModelParams, scheme: str, h: float, g1s, g2s, xs, ys):
             xn = x + (v1 * h + s1 * x * sqh * g1 + c1 * x * (h * g1 * g1 - h))
             yn = y + (v2 * h + s2 * y * sqh * g2 + c2 * y * (h * g2 * g2 - h))
             if (xn <= 0.0 < x) or (yn <= 0.0 < y):
-                return len(xs) - first + 1
+                # a component whose step factor, 1 + (v/z)h + s sqh g
+                # + c(hg^2 - h), is positive underflowed rather than
+                # crossed zero: it lands on +0.0
+                fx = (1.0 + v1 / x * h + s1 * sqh * g1 + c1 * (h * g1 * g1 - h)
+                      if xn <= 0.0 < x else 1.0)
+                fy = (1.0 + v2 / y * h + s2 * sqh * g2 + c2 * (h * g2 * g2 - h)
+                      if yn <= 0.0 < y else 1.0)
+                if fx <= 0.0 or fy <= 0.0:
+                    return len(xs) - first + 1
+                xn, yn = max(0.0, xn), max(0.0, yn)
             x, y = xn, yn
         else:
             if x > 0.0:
@@ -262,79 +278,6 @@ def _check_run(scheme: str, init, n_paths: int, h: float,
     return x0, y0, n
 
 
-def _lockstep(p: ModelParams, scheme: str, x0: float, y0: float,
-              n_paths: int, seed0: int, h: float, n: int):
-    """Paths seeded seed0 .. seed0 + n_paths - 1, advanced in lockstep from
-    (x0, y0) over the n steps of a run that _check_run has validated.
-
-    Yields (step, z) for step 0 .. n in order: z is a new (2, n_paths)
-    array, and z[0, i], z[1, i] are the prey and predator of path i, so a
-    consumer may keep what it was yielded.  Path i draws from the same
-    generators as simulate_path with seed seed0 + i.  Each operation of an
-    update is one ufunc call for both species.  Noise is drawn and scaled
-    _CHUNK steps at a time into buffers allocated once: memory is bounded
-    by the chunk, not the horizon.
-
-    Milstein raises PositivityViolation naming the first path whose
-    positive component steps to <= 0.
-    """
-    # 0-d operands: a ufunc call with a Python float pays a conversion
-    params = [_const(v) for v in (p.a, p.b, p.k1, p.k2, p.m)]
-    sqh = math.sqrt(h)
-    scale = (p.sigma1 * sqh, p.sigma2 * sqh)
-    d = np.array([[0.5 * p.sigma1 * p.sigma1], [0.5 * p.sigma2 * p.sigma2]])
-    gens = [[_component_rng(seed0 + i, c) for i in range(n_paths)]
-            for c in (0, 1)]
-    chunk = min(_CHUNK, n)
-    raw = np.empty((n_paths, chunk))        # one generator per row
-    noise = np.empty((chunk, 2, n_paths))   # scaled increments by step
-    v = np.empty((2, n_paths))
-    work = np.empty((2, n_paths))
-    vr, wr = (v[0], v[1]), (work[0], work[1])  # rows indexed once
-    h = _const(h)
-    z = np.array([[x0], [y0]]).repeat(n_paths, axis=1)
-    yield 0, z
-    for start in range(0, n, _CHUNK):
-        span = min(_CHUNK, n - start)
-        for c in (0, 1):
-            for row, g in zip(raw, gens[c]):
-                g.standard_normal(out=row[:span])
-            e = np.multiply(raw[:, :span].T, scale[c], out=noise[:span, c])
-            if scheme == MILSTEIN:
-                # a Milstein step is z + v*h + z*(e + (e^2/2 - d*h)):
-                # fold the bracket into the noise once per chunk
-                tmp = raw.reshape(-1)[:e.size].reshape(e.shape)
-                np.multiply(e, e, out=tmp)
-                np.multiply(tmp, 0.5, out=tmp)
-                np.subtract(tmp, d[c, 0] * h, out=tmp)
-                np.add(e, tmp, out=e)
-        for j in range(span):
-            _field_batch(*params, z[0], z[1], out=vr, work=wr)
-            if scheme == MILSTEIN:
-                zn = np.multiply(z, noise[j])
-                np.add(zn, np.multiply(v, h, out=v), out=zn)
-                np.add(z, zn, out=zn)
-                if zn.min() <= 0.0:
-                    bad = ((zn <= 0.0) & (z > 0.0)).any(axis=0)
-                    if bad.any():
-                        lost = int(np.argmax(bad))
-                        raise PositivityViolation(
-                            f"positivity lost on path {lost}")
-            else:
-                zero = None if z.all() else z == 0.0
-                # the drift vanishes on an axis, so 0/1 stands in for 0/0
-                np.divide(v, z if zero is None else np.where(zero, _ONE, z),
-                          out=v)
-                np.subtract(v, d, out=v)
-                np.multiply(v, h, out=v)
-                np.add(v, noise[j], out=v)
-                zn = np.multiply(np.exp(v, out=v), z)
-                if zero is not None:
-                    zn[zero] = 0.0
-            z = zn
-            yield start + j + 1, z
-
-
 def _check_bins(bins: int) -> None:
     if not bins >= 1:
         raise ValueError("bins must be >= 1")
@@ -354,26 +297,27 @@ def _bin2d(x, y, bins: int) -> tuple[np.ndarray, int]:
 
 def ensemble(p: ModelParams, init, scheme: str, n_paths: int, seed0: int,
              t_max: float, checkpoints, h: float = 1e-2,
-             burn_in: float = 0.0, bins: int = 50,
-             hist_thin: int = 100) -> EnsembleStats:
+             burn_in: float = 0.0, bins: int = 50) -> EnsembleStats:
     """Monte Carlo over paths seeded seed0 .. seed0 + n_paths - 1.
 
-    Paths advance in lockstep and each step's state is reduced as it
-    comes: moments at each checkpoint are direct cross-path reductions,
-    the histogram pools every hist_thin-th post-burn-in state of every
-    path, and the extinction fractions are read off the last state.  Noise
-    is drawn per path from the same generators a single simulate_path run
-    would use.  Checkpoints must be distinct grid times in [0, t_max]: a
-    checkpoint t is refused unless t/h lies within a relative 1e-9 of an
-    integer, so no moments are reported under a time they were not taken at.
+    Paths advance in lockstep, path i on the generators of simulate_path
+    with seed seed0 + i, and each step's state is reduced as it comes:
+    moments at each checkpoint are direct cross-path reductions, the
+    histogram pools every 100th post-burn-in state of every path, and the
+    extinction fractions are read off the last state.  Noise is drawn
+    _CHUNK steps at a time into buffers allocated once, so memory is
+    bounded by the chunk, not the horizon.  Checkpoints must be distinct
+    grid times in [0, t_max]: a checkpoint t is refused unless t/h lies
+    within a relative 1e-9 of an integer, so no moments are reported under
+    a time they were not taken at.  Milstein raises PositivityViolation
+    naming the first path whose positive component steps across zero; a
+    component that underflows lands on +0.0, as in simulate_path.
     """
     x0, y0, n = _check_run(scheme, init, n_paths, h, t_max)
     _check_burn_in(burn_in)
     _check_bins(bins)
     if burn_in > t_max:
         raise ValueError("burn_in must not exceed t_max")
-    if not hist_thin >= 1:
-        raise ValueError("hist_thin must be >= 1")
     ck_times = np.asarray(checkpoints, dtype=float)
     if not ((ck_times >= 0.0) & (ck_times <= t_max)).all():
         raise ValueError("checkpoints must lie in [0, t_max]")
@@ -390,16 +334,77 @@ def ensemble(p: ModelParams, init, scheme: str, n_paths: int, seed0: int,
     var = np.zeros((len(ck_times), 2))
     counts = np.zeros((bins, bins), dtype=np.int64)
     overflow = 0
-    for step, z in _lockstep(p, scheme, x0, y0, n_paths, seed0, h, n):
+    # 0-d operands: a ufunc call with a Python float pays a conversion
+    params = [_const(v) for v in (p.a, p.b, p.k1, p.k2, p.m)]
+    sqh = math.sqrt(h)
+    scale = (p.sigma1 * sqh, p.sigma2 * sqh)
+    d = np.array([[0.5 * p.sigma1 * p.sigma1], [0.5 * p.sigma2 * p.sigma2]])
+    gens = [[_component_rng(seed0 + i, c) for i in range(n_paths)]
+            for c in (0, 1)]
+    chunk = min(_CHUNK, n)
+    raw = np.empty((n_paths, chunk))        # one generator per row
+    noise = np.empty((chunk, 2, n_paths))   # scaled increments by step
+    v = np.empty((2, n_paths))
+    work = np.empty((2, n_paths))
+    vr, wr = (v[0], v[1]), (work[0], work[1])  # rows indexed once
+    h = _const(h)
+    z = np.array([[x0], [y0]]).repeat(n_paths, axis=1)  # prey, predator
+    for step in range(n + 1):
         i = ck_steps.get(step)
         if i is not None:
             x, y = z
             mean[i] = x.mean(), y.mean()
             var[i] = x.var(), y.var()
-        if step >= burn_step and step % hist_thin == 0:
-            c, o = _bin2d(*z, bins)
-            counts += c
-            overflow += o
+        if step >= burn_step and step % 100 == 0:
+            binned, out = _bin2d(*z, bins)
+            counts += binned
+            overflow += out
+        if step == n:
+            break
+        j = step % _CHUNK
+        if j == 0:
+            span = min(_CHUNK, n - step)
+            for c in (0, 1):
+                for row, g in zip(raw, gens[c]):
+                    g.standard_normal(out=row[:span])
+                e = np.multiply(raw[:, :span].T, scale[c],
+                                out=noise[:span, c])
+                if scheme == MILSTEIN:
+                    # a Milstein step is z + v*h + z*(e + (e^2/2 - d*h)):
+                    # fold the bracket into the noise once per chunk
+                    tmp = raw.reshape(-1)[:e.size].reshape(e.shape)
+                    np.multiply(e, e, out=tmp)
+                    np.multiply(tmp, 0.5, out=tmp)
+                    np.subtract(tmp, d[c, 0] * h, out=tmp)
+                    np.add(e, tmp, out=e)
+        _field_batch(*params, z[0], z[1], out=vr, work=wr)
+        if scheme == MILSTEIN:
+            zn = np.multiply(z, noise[j])
+            np.add(zn, np.multiply(v, h, out=v), out=zn)
+            np.add(z, zn, out=zn)
+            if zn.min() <= 0.0:
+                lost = (zn <= 0.0) & (z > 0.0)
+                # as in _advance, a positive factor 1 + v*h/z + noise marks
+                # an underflow, which lands on +0.0, not a crossing
+                crossed = lost.copy()
+                crossed[lost] = 1.0 + v[lost] / z[lost] + noise[j][lost] <= 0.0
+                bad = crossed.any(axis=0)
+                if bad.any():
+                    raise PositivityViolation(
+                        f"positivity lost on path {int(np.argmax(bad))}")
+                zn[lost] = 0.0
+        else:
+            zero = None if z.all() else z == 0.0
+            # the drift vanishes on an axis, so 0/1 stands in for 0/0
+            np.divide(v, z if zero is None else np.where(zero, _ONE, z),
+                      out=v)
+            np.subtract(v, d, out=v)
+            np.multiply(v, h, out=v)
+            np.add(v, noise[j], out=v)
+            zn = np.multiply(np.exp(v, out=v), z)
+            if zero is not None:
+                zn[zero] = 0.0
+        z = zn
     extinct = (z < EXTINCTION_THRESHOLD).mean(axis=1)  # at t_max
     return EnsembleStats(
         n_paths=n_paths, checkpoint_times=ck_times, mean=mean, variance=var,

@@ -114,6 +114,18 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out.out)["params"]["b"] == 0.1
 
+    def test_params_file_named_like_json(self, capsys, tmp_path,
+                                         monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "123").write_text(json.dumps(
+            {"a": 0.5, "b": 0.1, "k1": 0.08, "k2": 0.2, "m": 0.0025}))
+        code, out = run(capsys, ["analyze", "--params", "123"])
+        assert code == 0
+        assert json.loads(out.out)["params"]["k1"] == 0.08
+        code, out = run(capsys, ["analyze", "--params", "nope.json"])
+        assert_one_error(code, out,
+                         "[Errno 2] No such file or directory: 'nope.json'")
+
     def test_missing_params_is_exit_1(self, capsys):
         code, out = run(capsys, ["analyze", "--a", "0.5"])
         assert code == 1
@@ -753,3 +765,22 @@ def test_analysis_runs_without_numpy(tmp_path):
     assert seen["ode"] is True
     assert set(PACKAGE_NAMES) <= set(seen["listed"])
     assert seen["unresolved"] == []
+
+
+def test_star_import_binds_every_public_name():
+    # a fresh interpreter: the star import must bind the lazily imported
+    # simulation names as well as the eager ones, and no helper module
+    script = textwrap.dedent("""
+        import json
+        from lglab import *
+        print(json.dumps(sorted(n for n in dir() if not n.startswith("__"))))
+    """)
+    src = os.path.dirname(os.path.dirname(lglab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    bound = set(json.loads(done.stdout)) - {"json"}
+    assert bound == set(PACKAGE_NAMES) - {"__version__"}
+    assert "importlib" not in dir(lglab)

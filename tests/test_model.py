@@ -113,6 +113,15 @@ class TestParams:
         f.write_text(json.dumps(p.to_dict()))
         assert load_params(str(f)) == p
 
+    def test_load_params_file_named_like_json(self, tmp_path, monkeypatch):
+        # "123" parses as JSON, but a file of that name is read as the file
+        p = ModelParams(a=0.5, b=0.1, k1=0.08, k2=0.2, m=0.0025)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "123").write_text(json.dumps(p.to_dict()))
+        assert load_params("123") == p
+        with pytest.raises(FileNotFoundError, match="nope.json"):
+            load_params("nope.json")
+
     def test_load_params_raw_key(self):
         obj = {"raw": {"rho1": 1, "rho2": 1, "beta": 1, "alpha1": 1,
                        "alpha2": 1, "kappa1": 1, "kappa2": 1, "mu": 0.1}}

@@ -14,10 +14,19 @@ import pytest
 from lglab import ModelParams, PositivityViolation, Region, StepTooLarge
 from lglab.model import _field_scalar
 from lglab.ode_sim import EULER, RK4, integrate
-from lglab.sde_sim import (_CHUNK, LOG_EULER, MILSTEIN, hitting_time,
-                           make_noise, simulate_path)
+from lglab.sde_sim import (_CHUNK, LOG_EULER, MILSTEIN, ensemble,
+                           hitting_time, make_noise, simulate_path)
 
 from conftest import random_params
+
+
+def crossing(factor, k):
+    """+0.0 for a step at index k whose Milstein factor is positive, which
+    underflowed to <= 0; otherwise the step crossed zero."""
+    if factor > 0.0:
+        return 0.0
+    raise PositivityViolation(f"positivity lost at step {k + 1}",
+                              step_index=k + 1)
 
 
 def ref_simulate_path(p, init, scheme, noise, n, shared_noise=False):
@@ -39,9 +48,13 @@ def ref_simulate_path(p, init, scheme, noise, n, shared_noise=False):
             g2 = xi2[k]
             xn = x + (v1 * h + s1 * x * sqh * g1 + c1 * x * (h * g1 * g1 - h))
             yn = y + (v2 * h + s2 * y * sqh * g2 + c2 * y * (h * g2 * g2 - h))
-            if (xn <= 0.0 < x) or (yn <= 0.0 < y):
-                raise PositivityViolation(f"positivity lost at step {k + 1}",
-                                          step_index=k + 1)
+            # a positive step factor marks an underflow, not a crossing
+            if xn <= 0.0 < x:
+                fx = 1.0 + v1 / x * h + s1 * sqh * g1 + c1 * (h * g1 * g1 - h)
+                xn = crossing(fx, k)
+            if yn <= 0.0 < y:
+                fy = 1.0 + v2 / y * h + s2 * sqh * g2 + c2 * (h * g2 * g2 - h)
+                yn = crossing(fy, k)
             x, y = xn, yn
             states[k + 1] = (x, y)
     else:
@@ -169,6 +182,25 @@ class TestMilsteinLoss:
                            match=f"^positivity lost at step {step}$") as exc:
             simulate_path(self.P, (0.55, 0.6), MILSTEIN, noise)
         assert exc.value.step_index == step
+
+    def test_underflow_is_not_a_loss(self):
+        # sigma2^2 h = 1, so y's step factor is 0.5 (xi + 1)^2 + 0.025 > 0
+        # and no step crosses zero; y underflows to 1.5e-323 at step 937
+        # and to <= 0 at step 938, where it lands on +0.0
+        p = ModelParams(a=0.4, b=0.1, k1=0.08, k2=0.2, m=0.0025,
+                        sigma1=2.0, sigma2=2.0)
+        noise = make_noise(2, 0.25, 2000)
+        got = simulate_path(p, (0.55, 0.6), MILSTEIN, noise)
+        ref = ref_simulate_path(p, (0.55, 0.6), MILSTEIN, noise, 2000)
+        assert got.states.tobytes() == ref.tobytes()
+        assert 0.0 < got.y[937] < 1e-320
+        assert (got.y[938:] == 0.0).all() and not np.signbit(got.y).any()
+        stats = ensemble(p, (0.55, 0.6), MILSTEIN, n_paths=1, seed0=2,
+                         t_max=500.0, checkpoints=[234.25, 234.5, 500.0],
+                         h=0.25)
+        assert stats.mean[:, 1].tolist() == [got.y[937], 0.0, 0.0]
+        assert np.allclose(stats.mean[:, 0], got.x[[937, 938, 2000]],
+                           rtol=1e-12, atol=0)
 
     def test_hitting_names_the_earliest_loss_across_chunks(self):
         # path 0 loses positivity in the second chunk and path 1 in the

@@ -337,8 +337,6 @@ class TestEnsemble:
         (dict(burn_in=2.5), "burn_in must not exceed t_max"),
         (dict(bins=0), "bins must be >= 1"),
         (dict(bins=-3), "bins must be >= 1"),
-        (dict(hist_thin=0), "hist_thin must be >= 1"),
-        (dict(hist_thin=-2), "hist_thin must be >= 1"),
     ])
     def test_bad_burn_in_or_bins_rejected(self, kw, match):
         with pytest.raises(ValueError, match=match):
@@ -354,10 +352,10 @@ class TestEnsemble:
     def test_histogram_mass(self):
         stats = ensemble(STOCH, (0.55, 0.6), LOG_EULER, n_paths=16, seed0=0,
                          t_max=20.0, checkpoints=[20.0], h=0.01,
-                         burn_in=2.0, bins=20, hist_thin=10)
-        # steps 200,210,...,2000 are recorded: 181 samples per path
+                         burn_in=2.0, bins=20)
+        # steps 200,300,...,2000 are recorded: 19 samples per path
         recorded = int(np.asarray(stats.hist_counts).sum())
-        assert recorded + int(stats.hist_overflow) == 16 * 181
+        assert recorded + int(stats.hist_overflow) == 16 * 19
 
     def test_thread_invariance(self):
         # one lockstep run in one thread: a repeated call is bit-identical
@@ -504,20 +502,19 @@ class TestHitting:
 
 
 class TestLockstepKernel:
-    """Contracts of the fused lockstep kernel behind ensemble, which yields
-    one fresh state per step, and of the chunked per-path stepping behind
-    hitting_time."""
+    """Contracts of the fused lockstep kernel of ensemble and of the
+    chunked per-path stepping behind hitting_time."""
 
     @pytest.mark.parametrize("chunk", [7, 1, 100])
     def test_chunk_size_invariance(self, monkeypatch, chunk):
         # 600 steps: two chunks at the default size, partial last chunks
-        # at 7; at 100 the checkpoint t=1.0 is the last step of a chunk and
-        # the thinned histogram steps fall on both sides of chunk edges;
-        # every path must see the same draws whatever the chunk
+        # at 7, where the histogram steps 100 .. 600 fall inside chunks; at
+        # 100 the checkpoint t=1.0 and every histogram step sit on a chunk
+        # edge; every path must see the same draws whatever the chunk
         def run():
             ens = [ensemble(STOCH, (0.55, 0.6), scheme, n_paths=5, seed0=3,
                             t_max=6.0, checkpoints=[1.0, 6.0], h=0.01,
-                            burn_in=1.0, bins=10, hist_thin=7)
+                            burn_in=1.0, bins=10)
                    for scheme in (LOG_EULER, MILSTEIN)]
             hits = [hitting_time(STOCH, scheme, (0.7, 0.6),
                                  Region(0.0, 0.5, 0.0, 2.0), n_paths=5,
@@ -541,28 +538,40 @@ class TestLockstepKernel:
     @pytest.mark.parametrize("scheme", [LOG_EULER, MILSTEIN])
     @pytest.mark.parametrize("axis, init", [(0, (0.0, 0.6)), (1, (0.55, 0.0))])
     def test_zero_axis_stays_zero(self, scheme, axis, init):
+        # a -0.0 state cannot be seen in any ensemble output: a mean or
+        # variance of zeros is +0.0 whatever their signs, a -0.0 bins at 0
+        # and counts as extinct, so only the values are checked
         p = replace(STOCH, sigma1=0.3, sigma2=0.3)
-        for step, z in sde_sim._lockstep(p, scheme, *init, 16, 0, 0.01, 1000):
-            zero, other = z[axis], z[1 - axis]
-            assert (zero == 0.0).all() and not np.signbit(zero).any()
-            assert (other > 0.0).all()
-        assert step == 1000
+        n, h = 1000, 0.01
+        stats = ensemble(p, init, scheme, n_paths=16, seed0=0, t_max=n * h,
+                         checkpoints=np.arange(n + 1) * h, h=h)
+        assert (stats.mean[:, axis] == 0.0).all()
+        assert (stats.variance[:, axis] == 0.0).all()
+        assert (stats.mean[:, 1 - axis] > 0.0).all()
+        extinct = (stats.extinction_fraction_x, stats.extinction_fraction_y)
+        assert (extinct[axis], extinct[1 - axis]) == (1.0, 0.0)
 
     @pytest.mark.parametrize("scheme", [LOG_EULER, MILSTEIN])
     def test_kept_states_are_scalar_paths(self, scheme):
-        # 1100 steps cross the chunk edges at 512 and 1024; every state
-        # yielded is kept, so none may be overwritten by a later step
+        # 1100 steps cross the chunk edges at 512 and 1024, with a
+        # checkpoint at every step: the moments of each step are those of
+        # the simulate_path states at that step
         seed0, n_paths, h, n = 5, 16, 0.01, 1100
-        kept = list(sde_sim._lockstep(STOCH, scheme, 0.55, 0.6, n_paths,
-                                      seed0, h, n))
-        assert [step for step, _ in kept] == list(range(n + 1))
-        states = np.array([z for _, z in kept])  # (step, species, path)
-        for i in range(n_paths):
-            sp = simulate_path(STOCH, (0.55, 0.6), scheme,
-                               make_noise(seed0 + i, h, n))
-            # not bit for bit: the kernel folds Milstein's bracket into the
-            # noise, and numpy's exp and math.exp may differ in the last bit
-            assert np.allclose(states[:, :, i], sp.states, rtol=1e-12, atol=0)
+        stats = ensemble(STOCH, (0.55, 0.6), scheme, n_paths=n_paths,
+                         seed0=seed0, t_max=n * h,
+                         checkpoints=np.arange(n + 1) * h, h=h)
+        paths = [simulate_path(STOCH, (0.55, 0.6), scheme,
+                               make_noise(seed0 + i, h, n)).states
+                 for i in range(n_paths)]
+        # (step, species, path), each row contiguous like the kernel's, so
+        # the reductions add in the same order (the 16 equal starts of
+        # step 0 have variance 0 only that way)
+        states = np.ascontiguousarray(np.transpose(paths, (1, 2, 0)))
+        # not bit for bit: the kernel folds Milstein's bracket into the
+        # noise, and numpy's exp and math.exp may differ in the last bit
+        assert np.allclose(stats.mean, states.mean(axis=2), rtol=1e-12, atol=0)
+        assert np.allclose(stats.variance, states.var(axis=2), rtol=1e-12,
+                           atol=0)
 
     def test_milstein_positivity_names_first_bad_path(self):
         # s2 * sqrt(h) > 1: a Milstein step can cross zero for some draws,
