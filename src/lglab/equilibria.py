@@ -10,9 +10,9 @@ roots, located by bisection-safeguarded Newton steps on the monotone
 pieces of R, must agree with that prediction.  Classification uses the
 negative trace s, determinant p and discriminant s^2 - 4p of the Jacobian,
 with documented fallbacks for the semi-hyperbolic and nilpotent cases.
-The first Lyapunov coefficient at a Hopf point is built from closed-form
-second and third partials of the field; the module needs only the
-standard library.
+The first Lyapunov coefficient at a Hopf point is built from the second
+and third partials of the field.  Both read one table of closed-form
+partials, model._partials; the module needs only the standard library.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import (
     NotAnEquilibrium,
     NumericalFailure,
 )
-from .model import ModelParams, vector_field
+from .model import ModelParams, _partials, vector_field
 
 # Taxonomy labels (the strings that appear in JSON reports).
 SADDLE = "Saddle"
@@ -176,22 +176,6 @@ def count_interior_equilibria(p: ModelParams) -> CountReport:
     return CountReport(0, routh, tong_delta, None, "m_zero_case_c")
 
 
-def _z(p: ModelParams, x: float) -> float:
-    return p.k1 + x - p.m
-
-
-def _linear_terms(p: ModelParams, x: float, y: float):
-    """(core, kc) with s = core + b and det = b*(core + kc), as _trace_det."""
-    z = _z(p, x)
-    return -1.0 + 2.0 * x + p.a * y * p.k1 / z ** 2, p.a * (x - p.m) / z
-
-
-def _trace_det(p: ModelParams, x: float, y: float):
-    """s = -trace and p = det of the Jacobian at an interior equilibrium."""
-    core, kc = _linear_terms(p, x, y)
-    return core + p.b, p.b * (core + kc)
-
-
 def _root_in_bracket(c: CubicCoeffs, lo: float, hi: float) -> float:
     """Root of R on a bracket where R is monotone and changes sign: Newton
     from the midpoint, bisecting when a step would leave the shrinking bracket."""
@@ -312,11 +296,12 @@ def classify(p: ModelParams, e: Equilibrium) -> Equilibrium:
     x, x^2 and the Holling term at its saturation a*y for v1 (near x = m a
     rounded x moves that term by up to a*y/k1 per unit), b*y and
     b*y^2/(k2 + x - m) for v2.  Hyperbolic cases follow the sign table on
-    (s, p, s^2-4p) with absolute tolerance HYPERBOLIC_EPS.  When p vanishes
-    the semi-hyperbolic decision quantity is z^3 - a*k1*y + a*k1*z
-    (z = k1 + x - m): nonzero gives a saddle-node, zero an unstable node
-    (k1 > k2) or saddle (k1 < k2).  When s and p both vanish the nilpotent
-    quantity 1 - a*y*k1/z^3 + a*k1/z^2 separates a cusp from a saddle.
+    (s, p, s^2-4p) with absolute tolerance HYPERBOLIC_EPS; y = k2 + x - m
+    makes the Jacobian's second row (b, -b), so s = b - J11 and
+    p = -b*(J11 + J12).  With q = -(v1_xx/2 + v1_xy) (z = k1 + x - m), a
+    vanishing p leaves a saddle-node if z^3*q is nonzero, else an unstable
+    node (k1 > k2) or saddle (k1 < k2); s and p vanishing leave a cusp if
+    q is nonzero, else a saddle.
     """
     v1, v2 = vector_field(p, (e.x, e.y))
     size1 = max(abs(e.x), e.x * e.x, p.a * abs(e.y))
@@ -325,7 +310,10 @@ def classify(p: ModelParams, e: Equilibrium) -> Equilibrium:
         raise NotAnEquilibrium(
             f"field residual ({v1:.3g}, {v2:.3g}) at ({e.x}, {e.y})")
 
-    s, det = _trace_det(p, e.x, e.y)
+    d1, _ = _partials(p, e.x, e.y, p.b)
+    s = p.b - d1[1, 0]
+    det = p.b * (0.0 - d1[1, 0] - d1[0, 1])  # an exact zero is +0.0
+    q = -0.5 * d1[2, 0] - d1[1, 1]
     delta = s * s - 4.0 * det
     eps = HYPERBOLIC_EPS
     hyperbolic = True
@@ -348,17 +336,13 @@ def classify(p: ModelParams, e: Equilibrium) -> Equilibrium:
         hyperbolic = False
     elif abs(s) > eps:
         # semi-hyperbolic: one zero eigenvalue
-        z = _z(p, e.x)
-        w = z ** 3 - p.k1 * e.y * p.a + p.a * p.k1 * z
-        if abs(w) > eps:
+        if abs((p.k1 + e.x - p.m) ** 3 * q) > eps:
             tax = SADDLE_NODE
         else:
             tax = UNSTABLE_NODE if p.k1 > p.k2 else SADDLE
         hyperbolic = False
     else:
         # nilpotent: both eigenvalues zero, linear part nonzero
-        z = _z(p, e.x)
-        q = 1.0 - p.a * e.y * p.k1 / z ** 3 + p.a * p.k1 / z ** 2
         tax = CUSP if abs(q) > eps else SADDLE
         hyperbolic = False
 
@@ -387,26 +371,16 @@ def index_sum_check(eqs: Sequence[Equilibrium],
                        passed=(expected is None or total == expected))
 
 
-def _transformed_field_partials(p: ModelParams, x0: float, y0: float,
-                                b0: float, theta: float):
-    """Analytic partials (orders 2-3) of the field in the Hopf eigenbasis.
+def _transformed_field_partials(d1: dict, d2: dict, theta: float):
+    """Partials (orders 2-3) of the field in the Hopf eigenbasis.
 
     Coordinates (u, v) with x = x0 + u - theta*v, y = y0 + u put the linear
-    part at b = b0 into rotation form.  Returns dicts of the partials of
-    fa = v2 and fb = (v2 - v1)/theta, keyed like 'uv', 'uuv'.  With
-    z = k1 + x - m and w = k2 + x - m, v1 = x - x^2 - a*y + a*k1*y/z and
-    v2 = b0*y - b0*y^2/w have closed-form (x, y) partials; du = dx + dy and
-    dv = -theta*dx map them to the eigenbasis as
+    part at b = b0 into rotation form.  d1 and d2 are model._partials of v1
+    and v2 at (x0, y0) and b0.  Returns dicts of the partials of fa = v2
+    and fb = (v2 - v1)/theta, keyed like 'uv', 'uuv': du = dx + dy and
+    dv = -theta*dx map the (x, y) partials to the eigenbasis as
     D_{u^i v^j} f = (-theta)^j * sum_r C(i, r) * f_{x^(r+j) y^(i-r)}.
     """
-    z, w, ak = p.k1 + x0 - p.m, p.k2 + x0 - p.m, p.a * p.k1
-    # (x, y) partials keyed by (order in x, order in y); absent ones vanish,
-    # and every key of d1 is also a key of d2
-    d1 = {(2, 0): -2.0 + 2.0 * ak * y0 / z ** 3, (1, 1): -ak / z ** 2,
-          (3, 0): -6.0 * ak * y0 / z ** 4, (2, 1): 2.0 * ak / z ** 3}
-    d2 = {(2, 0): -2.0 * b0 * y0 ** 2 / w ** 3, (1, 1): 2.0 * b0 * y0 / w ** 2,
-          (0, 2): -2.0 * b0 / w, (3, 0): 6.0 * b0 * y0 ** 2 / w ** 4,
-          (2, 1): -4.0 * b0 * y0 / w ** 3, (1, 2): 2.0 * b0 / w ** 2}
     db = {k: (v - d1.get(k, 0.0)) / theta for k, v in d2.items()}
 
     def transformed(d, i, j):
@@ -421,20 +395,20 @@ def _transformed_field_partials(p: ModelParams, x0: float, y0: float,
 def hopf_point(p: ModelParams, e: Equilibrium) -> HopfData:
     """Critical b and first Lyapunov coefficient at an interior equilibrium.
 
-    s is affine in b with slope 1, so the eigenvalue real parts cross zero
-    at b0 = 1 - 2x - a*y*k1/z^2; purely imaginary eigenvalues require
-    0 < b0 < a*(x-m)/z.  The Lyapunov coefficient is the Guckenheimer-Holmes
+    s = b - J11 (see classify), so the eigenvalue real parts cross zero at
+    b0 = J11 = 1 - 2x - a*y*k1/z^2; purely imaginary eigenvalues require
+    0 < b0 < kc = -J12 = a*(x-m)/z.  The Lyapunov coefficient is the Guckenheimer-Holmes
     combination of second and third partials of the field transformed to the
     eigenbasis at b = b0; lam > 0 means the bifurcating orbits are repelling.
     """
-    core, kc = _linear_terms(p, e.x, e.y)
-    b0 = 0.0 - core  # an exact zero stays +0.0
+    d1, _ = _partials(p, e.x, e.y, p.b)
+    b0, kc = d1[1, 0], -d1[0, 1]
     if not 0.0 < b0 < kc:
         raise NoHopf(f"b0={b0:.6g} outside (0, a*c)= (0, {kc:.6g})")
 
     omega0 = math.sqrt(b0 * (kc - b0))
     theta = math.sqrt((kc - b0) / b0)
-    A, B = _transformed_field_partials(p, e.x, e.y, b0, theta)
+    A, B = _transformed_field_partials(*_partials(p, e.x, e.y, b0), theta)
 
     lam = (
         A["uuu"] + A["uvv"] + B["uuv"] + B["vvv"]

@@ -193,11 +193,34 @@ def _field_scalar(a, b, k1, k2, m, x, y):
     return v1, v2
 
 
+def _partials(p: ModelParams, x, y, b):
+    """Partials of orders 1-3 of (v1, v2) at x >= m (one-sided on the
+    refuge line), with predator growth rate b in place of p.b.
+
+    There, with z = k1 + x - m and w = k2 + x - m, v1 = x - x^2 - a*y +
+    a*k1*y/z and v2 = b*y - b*y^2/w.  Returns (d1, d2), dicts keyed by
+    (order in x, order in y); absent partials vanish, and every key of d1
+    is a key of d2.
+    """
+    z, w, ak = p.k1 + x - p.m, p.k2 + x - p.m, p.a * p.k1
+    z2, z3, w2, w3 = z ** 2, z ** 3, w ** 2, w ** 3
+    d1 = {(1, 0): 1.0 - 2.0 * x - p.a * y * p.k1 / z2,
+          (0, 1): -p.a * (x - p.m) / z,
+          (2, 0): -2.0 + 2.0 * ak * y / z3, (1, 1): -ak / z2,
+          (3, 0): -6.0 * ak * y / z ** 4, (2, 1): 2.0 * ak / z3}
+    d2 = {(1, 0): b * y ** 2 / w2, (0, 1): b - 2.0 * b * y / w,
+          (2, 0): -2.0 * b * y ** 2 / w3, (1, 1): 2.0 * b * y / w2,
+          (0, 2): -2.0 * b / w, (3, 0): 6.0 * b * y ** 2 / w ** 4,
+          (2, 1): -4.0 * b * y / w3, (1, 2): 2.0 * b / w2}
+    return d1, d2
+
+
 def vector_field(p: ModelParams, state):
-    """Velocity (v1, v2) at a state; broadcasts over array-valued states."""
+    """Velocity (v1, v2) at a state: Python floats at a state of Python
+    numbers, ints included; arrays at an array-valued state."""
     x, y = state
-    if isinstance(x, float) and isinstance(y, float):
-        return _field_scalar(p.a, p.b, p.k1, p.k2, p.m, x, y)
+    if isinstance(x, (float, int)) and isinstance(y, (float, int)):
+        return _field_scalar(p.a, p.b, p.k1, p.k2, p.m, float(x), float(y))
     # a caller holding arrays has numpy loaded already
     from .ode_sim import _field_arrays
     return _field_arrays(p, x, y)

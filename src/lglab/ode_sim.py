@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import Inconclusive, KinkPoint, NonFinite, StepTooLarge, TooShort
 from .model import (ModelParams, _check_burn_in, _check_h, _check_state,
-                    _field_scalar, _horizon)
+                    _field_scalar, _horizon, _partials)
 
 EULER = "Euler"
 RK4 = "RK4"
@@ -76,17 +76,17 @@ def jacobian(p: ModelParams, state) -> np.ndarray:
 
     Raises KinkPoint when m > 0 and x == m exactly: the field has a kink
     there and one-sided derivatives must be queried at m +- eps instead.
+    Right of the line it reads model._partials; left of it predation is
+    off and the field is x(1-x), b*y*(1 - y/k2).
     """
     x, y = state
     if p.m > 0 and x == p.m:
         raise KinkPoint(f"jacobian is undefined on the line x = m = {p.m}")
-    u = max(0.0, x - p.m)
-    active = 1.0 if x >= p.m else 0.0
-    j11 = 1.0 - 2.0 * x - p.a * y * p.k1 / (p.k1 + u) ** 2 * active
-    j12 = -p.a * u / (p.k1 + u)
-    j21 = p.b * y ** 2 / (p.k2 + u) ** 2 * active
-    j22 = p.b - 2.0 * p.b * y / (p.k2 + u)
-    return np.array([[j11, j12], [j21, j22]])
+    if x < p.m:
+        return np.array([[1.0 - 2.0 * x, 0.0],
+                         [0.0, p.b - 2.0 * p.b * y / p.k2]])
+    d1, d2 = _partials(p, x, y, p.b)
+    return np.array([[d1[1, 0], d1[0, 1]], [d2[1, 0], d2[0, 1]]])
 
 
 @dataclass(frozen=True)

@@ -126,6 +126,22 @@ class TestAnalyze:
         assert_one_error(code, out,
                          "[Errno 2] No such file or directory: 'nope.json'")
 
+    def test_linear_center_skips_the_index_check(self, capsys):
+        # at b = b0 the Hopf equilibrium has s = 0 < det: not hyperbolic,
+        # so the report names it instead of summing indices
+        p = ModelParams(a=1.1, b=0.2, k1=0.08, k2=0.01, m=0.0025)
+        (e,) = equilibria.find_interior_equilibria(p)
+        b0 = equilibria.hopf_point(p, e).b0
+        code, out = run(capsys, ["analyze", *HOPF, "--b", repr(b0)])
+        assert code == 0, out.err
+        report = json.loads(out.out)
+        jsonschema.validate(report, load_schema("analysis_report_v1.json"))
+        (center,) = report["interior_equilibria"]
+        assert center["taxonomy"] == "LinearCenter" and center["s"] == 0.0
+        assert report["index"] == {
+            "total": None, "expected": None, "passed": None,
+            "skipped": "non-hyperbolic equilibrium LinearCenter"}
+
     def test_missing_params_is_exit_1(self, capsys):
         code, out = run(capsys, ["analyze", "--a", "0.5"])
         assert code == 1
@@ -280,6 +296,20 @@ class TestOde:
         assert json.loads(reports["rk4"])["found"] is True
         assert reports["euler"] == reports["rk4"]
 
+    def test_detect_cycle_inconclusive(self, capsys, tmp_path):
+        # 10 time units hold too few returns to the section for a verdict;
+        # the CSV is still written and the report says why
+        dest = tmp_path / "t.csv"
+        code, out = run(capsys, ["ode", *THREE, "--h", "0.01", "--t-max",
+                                 "10", "--detect-cycle", "--out", str(dest)])
+        assert code == 0, out.err
+        rep = json.loads(out.out)
+        assert rep["schema"] == "lglab/cycle"
+        assert rep["found"] is False
+        assert re.fullmatch(r"only [0-4] section crossings after burn-in",
+                            rep["inconclusive"])
+        assert len(dest.read_text().split("\n")) == 1003
+
     @pytest.mark.parametrize("burn_in", ["nan", "-5"])
     def test_bad_burn_in_is_exit_1(self, capsys, burn_in):
         code, out = run(capsys, ["ode", *THREE, "--h", "0.01", "--t-max", "10",
@@ -324,6 +354,11 @@ class TestSde:
         assert code == 0
         header = out.out.split("\n", 1)[0]
         assert header == "t,x,y,x_upper,y_upper,x_lower,y_lower"
+
+    def test_comparison_start_on_an_axis_is_exit_1(self, capsys):
+        code, out = run(capsys, ["sde", "path", *STOCH, "--seed", "1",
+                                 "--t-max", "1", "--comparison", "--x0", "0"])
+        assert_one_error(code, out, "initial state must be strictly positive")
 
     def test_comparison_prey_underflow(self, capsys):
         # the prey underflows to exactly 0; the system stays there as in
@@ -727,7 +762,8 @@ def test_analysis_runs_without_numpy(tmp_path):
     script = textwrap.dedent(f"""
         import contextlib, io, json, sys
         import lglab
-        from lglab import InvalidParams, ModelParams
+        from lglab import (Equilibrium, InvalidParams, ModelParams, classify,
+                           vector_field)
         from lglab.cli import main
         hopf = {HOPF!r}
         listed = dir(lglab)
@@ -745,10 +781,15 @@ def test_analysis_runs_without_numpy(tmp_path):
             refused = None
         except InvalidParams as exc:
             refused = str(exc)
+        # Python ints take the scalar path: E2 = (0, k2) at m = 0, a*k2 = k1
+        unit = ModelParams(a=1, b=1, k1=1, k2=1)
+        field = vector_field(unit, (1, 0))
+        e2 = classify(unit, Equilibrium(0, 1))
         analysis = "numpy" in sys.modules
         assert main(["ode", *hopf, "--t-max", "1", "--out", {out!r}]) == 0
         print(json.dumps({{"listed": listed, "refused": refused,
-                          "analysis": analysis,
+                          "field": [repr(v) for v in field],
+                          "e2": e2.taxonomy, "analysis": analysis,
                           "ode": "numpy" in sys.modules,
                           "unresolved": [n for n in listed
                                          if not hasattr(lglab, n)]}}))
@@ -762,6 +803,8 @@ def test_analysis_runs_without_numpy(tmp_path):
     seen = json.loads(done.stdout)
     assert seen["analysis"] is False
     assert seen["refused"] == "a must be a number, not a boolean"
+    assert seen["field"] == ["0.0", "0.0"]
+    assert seen["e2"] == "SaddleNode"
     assert seen["ode"] is True
     assert set(PACKAGE_NAMES) <= set(seen["listed"])
     assert seen["unresolved"] == []

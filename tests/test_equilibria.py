@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from lglab import (
     vector_field,
 )
 from lglab import equilibria as eqmod
+from lglab.model import _partials
 
 from conftest import random_params
 
@@ -174,6 +176,43 @@ class TestClassify:
         pb2 = ModelParams(a=0.9, b=0.5, k1=0.45, k2=0.5, m=0.0)
         assert trivial_equilibria(pb2)[2].taxonomy == "AttractingTopologicalNode"
 
+    def test_cusp_at_double_root_with_b_at_kc(self):
+        # m = 0 and k2 = (a2^2/4 + k1)/a with a2 = a + k1 - 1 give the
+        # quadratic X^2 + a2 X + a1 a double root at X = -a2/2 = 0.2, where
+        # det = b*(core + kc) vanishes; b = kc = a*X/(k1 + X) then makes s
+        # vanish too, leaving the nilpotent case
+        a, k1 = 0.5, 0.1
+        a2 = a + k1 - 1.0
+        p = ModelParams(a=a, b=0.1, k1=k1, k2=(a2 * a2 / 4 + k1) / a, m=0.0)
+        (e,) = find_interior_equilibria(p)
+        assert e.multiplicity == 2 and e.x == pytest.approx(0.2, abs=1e-12)
+        assert e.taxonomy == "SaddleNode"
+        kc = a * e.x / (k1 + e.x)
+        c = classify(p.with_b(kc), e)
+        assert c.taxonomy == "Cusp" and c.index == 0 and not c.hyperbolic
+        assert abs(c.s) <= eqmod.HYPERBOLIC_EPS
+        assert abs(c.p_det) <= eqmod.HYPERBOLIC_EPS
+
+    def test_semi_hyperbolic_with_vanishing_quadratic_term(self):
+        # at an equilibrium q = 1 + a*k1*(k1 - k2)/z^3 (z = k1 + x - m), and
+        # at a double root X = x - m of the cubic q = R''(X)/(2z): q vanishes
+        # with det only at a triple root.  m = 0.15, k1 = 2/255, a = 20/51
+        # and k2 = 133/320 make the cubic (X - 1/10)^3, with z = 11/102 and
+        # a*k1*(k2 - k1) = z^3 exactly; s does not vanish, and k1 < k2
+        # makes the point a topological saddle
+        k1, a = Fraction(2, 255), Fraction(20, 51)
+        k2, m = Fraction(133, 320), Fraction(15, 100)
+        x, y = m + Fraction(1, 10), k2 + Fraction(1, 10)
+        z = k1 + x - m
+        assert a * k1 * (k2 - k1) == z ** 3
+        assert -1 + 2 * x + a * y * k1 / z ** 2 + a * (x - m) / z == 0
+        p = ModelParams(a=float(a), b=0.1, k1=float(k1), k2=float(k2),
+                        m=float(m))
+        c = classify(p, eqmod.Equilibrium(float(x), float(y)))
+        assert c.taxonomy == "Saddle" and c.index == -1 and not c.hyperbolic
+        assert abs(c.p_det) <= eqmod.HYPERBOLIC_EPS
+        assert abs(c.s) > eqmod.HYPERBOLIC_EPS
+
 
 class TestIndex:
     def test_three_equilibria_sum(self):
@@ -272,7 +311,8 @@ def test_transformed_partials_match_sympy(rng, sympy_partials):
         for e in find_interior_equilibria(p):
             b0 = float(10 ** rng.uniform(-2.0, 0.5))
             theta = float(10 ** rng.uniform(-1.0, 1.0))
-            got = eqmod._transformed_field_partials(p, e.x, e.y, b0, theta)
+            got = eqmod._transformed_field_partials(
+                *_partials(p, e.x, e.y, b0), theta)
             for ref_of, d in zip(sympy_partials, got):
                 ref = ref_of(p, e.x, e.y, b0, theta)
                 # at an equilibrium y0 = k2 + x0 - m, so the pure-u partials

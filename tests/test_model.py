@@ -16,7 +16,7 @@ from lglab import (
     nondimensionalize,
     vector_field,
 )
-from lglab.model import _field_scalar
+from lglab.model import _field_scalar, _partials
 from lglab.ode_sim import _field_batch
 
 from conftest import random_params
@@ -208,3 +208,33 @@ class TestJacobian:
         # m = 0 has no kink: the positive-part switch is inactive at 0
         p0 = ModelParams(a=1, b=1, k1=1, k2=1, m=0.0)
         jacobian(p0, (0.0, 0.5))
+
+
+def test_partials_match_sympy(rng):
+    # sympy differentiates the field right of the refuge line, where
+    # (x - m)_+ = x - m; every partial of orders 1-3 of both components is
+    # compared, the absent ones against 0, at random points x > m
+    import sympy as sp
+
+    x, y, a, b, k1, k2, m = sp.symbols("x y a b k1 k2 m")
+    v1 = x * (1 - x) - a * y * (x - m) / (k1 + x - m)
+    v2 = b * y * (1 - y / (k2 + x - m))
+    keys = [(i, n - i) for n in (1, 2, 3) for i in range(n + 1)]
+    refs = [{key: sp.lambdify((x, y, a, b, k1, k2, m),
+                              sp.diff(v, x, key[0], y, key[1]), "math")
+             for key in keys} for v in (v1, v2)]
+    for _ in range(200):
+        p = random_params(rng)
+        x0 = p.m + float(rng.uniform(1e-3, 1.0))
+        y0 = float(rng.uniform(0.01, 1.5))
+        b0 = float(10 ** rng.uniform(-2.0, 0.5))
+        for ref_of, d in zip(refs, _partials(p, x0, y0, b0)):
+            ref = {key: f(x0, y0, p.a, b0, p.k1, p.k2, p.m)
+                   for key, f in ref_of.items()}
+            # sympy's unsimplified forms cancel differently; compare against
+            # the component's largest partial, as the eigenbasis test does
+            scale = max(abs(r) for r in ref.values())
+            for key, r in ref.items():
+                got = d.get(key, 0.0)
+                assert abs(got - r) <= 1e-10 * max(abs(r), scale), (
+                    p.to_dict(), x0, y0, b0, key, got, r)

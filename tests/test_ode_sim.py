@@ -76,6 +76,10 @@ class TestIntegrate:
         with pytest.raises(ValueError, match=match):
             integrate(STOCH_FIG, (0.5, 0.5), RK4, h=0.01, t_max=t_max)
 
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(ValueError, match="unknown scheme 'midpoint'"):
+            integrate(STOCH_FIG, (0.5, 0.5), "midpoint", h=0.01, t_max=1.0)
+
     def test_horizon_rounds_like_the_sde_integrators(self):
         # round(t_max / h) steps: below h/2 only the initial state
         for t_max, n in ((0.0, 0), (0.004, 0), (0.006, 1)):

@@ -281,6 +281,13 @@ class TestComparison:
         assert np.array_equal(b.x, sp.x)
         assert np.array_equal(b.y, sp.y)
 
+    @pytest.mark.parametrize("init", [(0.0, 0.6), (0.55, 0.0)])
+    def test_start_on_an_axis_rejected(self, init):
+        noise = make_noise(0, 0.01, 100)
+        with pytest.raises(ValueError,
+                           match="initial state must be strictly positive"):
+            comparison_bundle(STOCH, init, noise)
+
     def test_csv_shape(self):
         noise = make_noise(0, 0.01, 100)
         b = comparison_bundle(STOCH, (0.55, 0.6), noise)
@@ -399,6 +406,13 @@ class TestStationary:
         args = dict(burn_in=2.0, t_max=10.0, bins=10, h=0.01) | kw
         with pytest.raises(ValueError, match=match):
             stationary_histogram(STOCH, LOG_EULER, seed=1, **args)
+
+    @pytest.mark.parametrize("burn_in", [10.0, 12.0])
+    def test_burn_in_must_end_before_t_max(self, burn_in):
+        with pytest.raises(ValueError,
+                           match="burn_in must be smaller than t_max"):
+            stationary_histogram(STOCH, LOG_EULER, seed=1, burn_in=burn_in,
+                                 t_max=10.0, bins=10, h=0.01)
 
 
 class TestBin2d:
