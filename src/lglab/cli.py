@@ -415,12 +415,13 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The `lglab` parser, with the flags of `command` only (of all if None).
+def _build_parser() -> argparse.ArgumentParser:
+    """The top-level `lglab` parser, with every subcommand and its flags.
 
-    Every subcommand is registered: the top-level help, choices and errors
-    read only the names and help lines.  `main` passes the subcommand its
-    argv runs, so a subparser left without its flags never parses.
+    `main` reads a call led by its subcommand with that subcommand's parser
+    alone and builds this one only for the rest: the top-level help and
+    `--version`, a missing or unknown subcommand, and unrecognized
+    arguments, which only the top level reports.
     """
     parser = _Parser(
         prog="lglab",
@@ -429,28 +430,43 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, add_flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
-        if command is None or name == command:
-            add_flags(p)
+        add_flags(sub.add_parser(name, help=help_line))
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The parsed flags of `argv`, with the subcommand's `func`.
+
+    A subcommand's parser on its own reads what it reads as the top-level
+    parser's subparser (same prog, usage, help and errors), except that it
+    leaves unrecognized arguments for the top level to report.
+    """
+    if len(argv) > 1 and argv[0] == "--" and argv[1] in _COMMANDS:
+        argv = argv[1:]  # `--` ends the options, and none came before it
+    if argv and argv[0] in _COMMANDS:
+        parser = _Parser(prog=f"lglab {argv[0]}")
+        _COMMANDS[argv[0]][1](parser)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return _build_parser().parse_args(argv)
 
 
 _HINTS = {StepTooLarge: "; reduce --h",
           PositivityViolation: "; try --scheme log-euler or a smaller --h"}
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # The first word that is not a flag names the subcommand, since the
-    # top-level flags (-h, --version) take no value.  A word argparse reads
-    # as the subcommand ahead of it ("-", "-1") is refused by the top level.
-    command = next((w for w in argv if not w.startswith("-")), None)
-    args = _build_parser(command).parse_args(argv)
+def _run(args: argparse.Namespace) -> int:
+    """Exit code of the parsed subcommand; an input error prints one line."""
     try:
         return args.func(args)
     except (LglabError, ValueError, OSError) as exc:
         print(f"error: {exc}{_HINTS.get(type(exc), '')}", file=sys.stderr)
         return 1
+
+
+def main(argv=None) -> int:
+    return _run(_parse(sys.argv[1:] if argv is None else list(argv)))
 
 
 if __name__ == "__main__":

@@ -25,9 +25,12 @@ HOPF = ["--a", "1.1", "--b", "0.2", "--k1", "0.08", "--k2", "0.01",
 STOCH = ["--a", "0.4", "--b", "0.1", "--k1", "0.08", "--k2", "0.2",
          "--m", "0.0025", "--sigma1", "0.1", "--sigma2", "0.1"]
 
-# argvs whose exit code, stdout and stderr must not depend on which
-# subcommands' flags the parser holds: every subcommand and sde mode, help
-# and version, and usage errors read by the top level or by a subcommand
+# argvs whose exit code, stdout and stderr must not depend on whether a
+# subcommand's parser reads them alone or as the top-level parser's
+# subparser: every subcommand and sde mode, help and version, usage errors
+# read by the top level or by a subcommand, and the words the two could
+# read apart (a trailing top-level flag, abbreviations, `--flag=value`, an
+# empty word, `-`, `--`)
 CORPUS = [
     ["analyze", *THREE], ["analyze", *HOPF, "--hopf"],
     ["ode", *THREE, "--h", "0.1", "--t-max", "1", "--scheme", "euler"],
@@ -47,9 +50,16 @@ CORPUS = [
     ["ode", *THREE, "--scheme", "midpoint"], ["sde", "path", *STOCH],
     ["ode", *THREE, "--t-max", "1", "--detect"],
     ["sde", *STOCH, "--seed", "1", "--t-max", "1", "--", "path"],
-    ["--", "analyze", *THREE],
     ["-x", "analyze", *THREE], ["-1", "analyze", *THREE],
     ["--version", "analyze"],
+    ["analyze", *THREE, "--version"], ["analyze", *THREE, "-x"],
+    ["ode", *THREE, "--h", "0.1", "--t-max", "1", "--version"],
+    ["sde", "path", *STOCH, "--seed", "1", "--t-max", "1", "stray"],
+    ["analyze", *HOPF, "--hop"], ["analyze", *THREE, "--v"],
+    ["analyze", "--a=0.5", *THREE[2:]],
+    ["analyze", *THREE, ""], ["", "analyze", *THREE],
+    ["analyze", *THREE, "-h"], ["sde", "path", *STOCH, "--seed", "1", "-h"],
+    ["analyze", "-"], ["analyze", *THREE, "--", "x"],
 ]
 
 
@@ -73,10 +83,10 @@ def run(capsys, argv):
     return code, capsys.readouterr()
 
 
-def outcome(capsys, argv):
-    """(exit code, stdout, stderr) of `main(argv)`, a SystemExit included."""
+def outcome(capsys, argv, run=main):
+    """(exit code, stdout, stderr) of `run(argv)`, a SystemExit included."""
     try:
-        code = main(argv)
+        code = run(argv)
     except SystemExit as exc:
         code = exc.code
     out = capsys.readouterr()
@@ -620,13 +630,43 @@ class TestParser:
 
     @pytest.mark.parametrize("argv", CORPUS)
     def test_parser_with_every_subcommands_flags_reads_the_same(
+            self, capsys, argv):
+        # main reads a call led by its subcommand with that subcommand's
+        # parser alone; the top-level parser, holding every subcommand's
+        # flags, prints and returns the same
+        def nested(argv):
+            return cli._run(_build_parser().parse_args(argv))
+        assert outcome(capsys, argv) == outcome(capsys, argv, nested)
+
+    @pytest.mark.parametrize("argv", CORPUS)
+    def test_top_level_parser_is_built_only_when_needed(
             self, capsys, monkeypatch, argv):
-        # main adds flags to the named subcommand only; with every
-        # subcommand's flags added it prints and returns the same
-        alone = outcome(capsys, argv)
+        # once for a call no subcommand leads and for unrecognized
+        # arguments, which only the top level reports; never otherwise
+        built = []
         full = cli._build_parser
-        monkeypatch.setattr(cli, "_build_parser", lambda command=None: full())
-        assert outcome(capsys, argv) == alone
+        monkeypatch.setattr(cli, "_build_parser",
+                            lambda: built.append(argv) or full())
+        err = outcome(capsys, argv)[2]
+        led = bool(argv) and argv[0] in cli._COMMANDS
+        assert len(built) == (not led or "unrecognized arguments" in err)
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", *THREE], ["analyze", *HOPF, "--hopf"],
+        ["scan", *HOPF, "--scan", "b", "--from", "0.2", "--to", "0.5",
+         "--steps", "3"],
+        ["analyze", *THREE, "stray"], ["sde", "path", *STOCH],
+    ])
+    def test_dash_dash_before_the_subcommand_is_dropped(
+            self, capsys, tmp_path, argv):
+        # `--` only ends the options: `lglab -- analyze ...` is
+        # `lglab analyze ...`, exit code, output and artifact alike
+        def call(name, argv):
+            path = tmp_path / name
+            result = outcome(capsys, [*argv, "--out", str(path)])
+            return result, path.read_bytes() if path.exists() else None
+        plain = call("plain", argv)
+        assert call("dashed", ["--", *argv]) == plain
 
     def test_analyze_adds_only_its_own_flags(self, capsys, monkeypatch):
         called = []
