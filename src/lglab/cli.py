@@ -31,8 +31,8 @@ from .errors import (
     PositivityViolation,
     StepTooLarge,
 )
-from .model import (_MODEL_FIELDS, ModelParams, _check_burn_in, _horizon,
-                    load_params)
+from .model import (_MODEL_FIELDS, ModelParams, _check_burn_in, _check_state,
+                    _horizon, load_params)
 from . import equilibria as eq
 from . import qualitative
 
@@ -156,6 +156,7 @@ def cmd_ode(args) -> int:
     scheme = ode_sim.EULER if args.scheme == "euler" else ode_sim.RK4
     t_max = args.t_max if args.t_max is not None else 100.0
     if args.detect_cycle:
+        _horizon(args.h, t_max)  # first: the default burn-in derives from it
         burn = args.burn_in if args.burn_in is not None else 0.5 * t_max
         _check_burn_in(burn)  # before the CSV is written
         if args.out == "-":
@@ -229,8 +230,9 @@ def cmd_sde(args) -> int:
         if args.comparison and (scheme != sde_sim.LOG_EULER or args.shared_noise):
             raise InvalidParams("--comparison runs LogEuler on independent "
                                 "noise; drop --scheme milstein and --shared-noise")
-        noise = sde_sim.make_noise(args.seed, args.h,
-                                   _horizon(args.h, args.t_max))
+        n = _horizon(args.h, args.t_max)
+        _check_state(*start)  # before any noise is drawn
+        noise = sde_sim.make_noise(args.seed, args.h, n)
         if args.comparison:
             path = sde_sim.comparison_bundle(p, start, noise)
         else:

@@ -199,10 +199,15 @@ def _root_in_bracket(c: CubicCoeffs, lo: float, hi: float) -> float:
 def find_interior_equilibria(p: ModelParams) -> list[Equilibrium]:
     """Locate all interior equilibria by bracketing the cubic's sign changes.
 
-    Real roots of R in (0, 1-m) are isolated using the critical points of R',
-    solved by Newton safeguarded with bisection; a root sitting exactly at a
-    critical point is reported once with multiplicity 2.  Results are sorted
-    by x and already passed through classify.
+    R is evaluated once at 0, at 1-m and at its critical points inside
+    (0, 1-m): two when Tong's delta is positive, the inflection -alpha2/3
+    when it is zero.  Each piece whose end values have strictly opposite
+    signs holds one simple root, found by safeguarded Newton.  The count
+    decides the repeated roots: at delta = 0 an inflection within res_tol
+    of zero is the only root, with multiplicity 3; otherwise, while fewer
+    roots than predicted are found, the critical point with the smallest
+    |R| is a tangency, with multiplicity 2.  Results are sorted by x and
+    already passed through classify.
     """
     count = count_interior_equilibria(p)
     c = cubic_coefficients(p)
@@ -211,45 +216,27 @@ def find_interior_equilibria(p: ModelParams) -> list[Equilibrium]:
     lo, hi = 0.0, 1.0 - p.m
 
     breakpoints = [lo, hi]
-    if count.tong_delta > 0.0:
+    if count.tong_delta >= 0.0:
         r = math.sqrt(count.tong_delta)
         for Xc in ((-c.alpha2 - r) / 3.0, (-c.alpha2 + r) / 3.0):
             if lo < Xc < hi:
                 breakpoints.append(Xc)
-    breakpoints = sorted(set(breakpoints))
+    pts = [(X, c.value(X)) for X in sorted(set(breakpoints))]
 
     roots: list[tuple[float, int]] = []
-    # double (or triple) roots sit exactly at critical points of R
-    for Xc in breakpoints[1:-1]:
-        if abs(c.value(Xc)) <= res_tol:
-            roots.append((Xc, 2))
-    for left, right in zip(breakpoints, breakpoints[1:]):
-        fl, fr = c.value(left), c.value(right)
+    for (left, fl), (right, fr) in zip(pts, pts[1:]):
         if fl * fr < 0.0:
             roots.append((_root_in_bracket(c, left, right), 1))
-
-    # a critical-point root may coincide with a bracketed root; dedup
-    deduped: list[tuple[float, int]] = []
-    for X, mult in sorted(roots):
-        if deduped and abs(X - deduped[-1][0]) < 1e-10:
-            continue
-        deduped.append((X, mult))
-
-    # within rounding distance of a tangency the residual test can accept
-    # a critical point that the sign-based count rejects (the cubic grazes
-    # zero without or while also crossing); the count is the authority, so
-    # shed surplus critical-point roots, worst residual first
-    while len(deduped) > count.n_predicted:
-        doubles = [(abs(c.value(X)), i) for i, (X, mult) in enumerate(deduped)
-                   if mult == 2]
-        if not doubles:
-            break
-        deduped.pop(max(doubles)[1])
+    critical = pts[1:-1]  # at delta = 0 the one inflection
+    if count.tong_delta == 0.0 and critical and abs(critical[0][1]) <= res_tol:
+        roots = [(critical[0][0], 3)]
+    elif len(roots) < count.n_predicted:
+        critical.sort(key=lambda pt: abs(pt[1]))
+        roots += [(X, 2) for X, _ in critical[:count.n_predicted - len(roots)]]
+        roots.sort()
 
     out = []
-    for X, mult in deduped:
-        if not lo < X < hi:
-            continue
+    for X, mult in roots:
         if abs(c.value(X)) > max(res_tol, 1e-10):
             raise NumericalFailure(f"residual too large at X={X}")
         out.append(classify(p, Equilibrium(p.m + X, p.k2 + X, multiplicity=mult)))

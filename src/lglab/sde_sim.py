@@ -431,9 +431,9 @@ def stationary_histogram(p: ModelParams, scheme: str, seed: int,
     parameters are outside the proven stationary regime the computation
     still runs but the report carries a warning flag.
     """
-    n = _horizon(h, t_max)
     _check_burn_in(burn_in)
     _check_bins(bins)
+    _, _, n = _check_run(scheme, init, 1, h, t_max)  # before any noise
     if burn_in >= t_max:
         raise ValueError("burn_in must be smaller than t_max")
     regime = stochastic_regime(p)

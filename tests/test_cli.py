@@ -326,6 +326,14 @@ class TestOde:
                                  "--detect-cycle", "--burn-in", burn_in])
         assert_one_error(code, out, "burn_in must be >= 0")
 
+    def test_detect_cycle_negative_horizon_is_exit_1(self, capsys, tmp_path):
+        # the horizon is named, not the burn-in that defaults to half of it
+        dest = tmp_path / "t.csv"
+        code, out = run(capsys, ["ode", *THREE, "--t-max", "-1",
+                                 "--detect-cycle", "--out", str(dest)])
+        assert_one_error(code, out, "horizon must be >= 0")
+        assert not dest.exists()
+
     @pytest.mark.parametrize("out", [[], ["--out", "-"]])
     def test_detect_cycle_to_stdout_is_exit_1(self, capsys, out):
         # the CSV and the cycle report would share stdout
@@ -435,6 +443,23 @@ class TestSde:
                                  "--t-max", "10", *flags])
         assert code == 1
         assert out.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("start, message", [
+        (["--x0", "-1"], "initial state must lie in the closed quadrant"),
+        (["--y0", "nan"], "initial state must lie in the closed quadrant"),
+        (["--y0", "inf"], "initial state must be finite"),
+    ])
+    def test_bad_path_start_refused_before_noise(self, capsys, monkeypatch,
+                                                 start, message):
+        from lglab import sde_sim
+        drawn = []
+        real = sde_sim.make_noise
+        monkeypatch.setattr(sde_sim, "make_noise",
+                            lambda *a: drawn.append(a) or real(*a))
+        code, out = run(capsys, ["sde", "path", *STOCH, "--seed", "1",
+                                 "--t-max", "1", *start])
+        assert_one_error(code, out, message)
+        assert drawn == []
 
     def test_negative_horizon_is_exit_1(self, capsys):
         code, out = run(capsys, ["sde", "path", *STOCH, "--seed", "1",

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import lglab
 
@@ -135,6 +137,79 @@ class TestFind:
             for e in find_interior_equilibria(p):
                 assert e.taxonomy is not None
                 assert classify(p, e) == e
+
+
+def tangent_k1_k2(a, m, X0):
+    """k1 and k2 that make X0 a double root of the cubic: R(X0) = R'(X0) = 0
+    reduce to 2 X0^3 + alpha2 X0^2 = alpha0, linear in k1, and
+    alpha1 = -3 X0^2 - 2 alpha2 X0, linear in k2."""
+    k1 = -(2 * X0 ** 3 + (a - 1 + 2 * m) * X0 ** 2) / (X0 ** 2 + m * (1 - m))
+    a2 = a + k1 - 1 + 2 * m
+    a1 = -3 * X0 ** 2 - 2 * a2 * X0
+    return k1, (a1 - m * m - m * (2 * k1 - 1) + k1) / a
+
+
+class TestTangencies:
+    """Near a tangency the count decides how many roots are repeated."""
+
+    @staticmethod
+    def check(p):
+        count = count_interior_equilibria(p)
+        eqs = find_interior_equilibria(p)
+        c = cubic_coefficients(p)
+        res_tol = 1e-12 * max(1.0, abs(c.alpha2), abs(c.alpha1), abs(c.alpha0))
+        assert len(eqs) == count.n_predicted
+        for e in eqs:
+            assert abs(c.value(e.x - p.m)) <= max(res_tol, 1e-10)
+            assert e.multiplicity in (1, 2, 3)
+        assert sum(e.multiplicity for e in eqs) <= 3
+
+    @given(st.floats(0.05, 0.9), st.floats(0.01, 0.9),
+           st.sampled_from([0.0, -1.0, 1.0]), st.floats(-17.0, -11.0))
+    @settings(max_examples=300, deadline=None)
+    def test_m_zero(self, a, k1, sign, log_rel):
+        # k2 = (alpha2^2/4 + k1)/a gives X^2 + alpha2 X + alpha1 a double
+        # root at -alpha2/2, here moved by a relative 1e-17 to 1e-11
+        a2 = a + k1 - 1.0
+        assume(a2 < 0.0)
+        k2 = (a2 * a2 / 4 + k1) / a * (1.0 + sign * 10.0 ** log_rel)
+        self.check(ModelParams(a=a, b=0.1, k1=k1, k2=k2, m=0.0))
+
+    @given(st.floats(0.05, 0.9), st.floats(-3.5, -0.7), st.floats(0.001, 0.5))
+    @settings(max_examples=200, deadline=None)
+    def test_m_positive(self, a, log_m, X0):
+        # k2 bisected to adjacent floats across the sign change of Tong's
+        # product next to the constructed tangency at X0
+        m = 10.0 ** log_m
+        k1, k2 = tangent_k1_k2(a, m, X0)
+        assume(k1 > 0.0 and k2 > 0.0)
+
+        def product(k):
+            return count_interior_equilibria(
+                ModelParams(a=a, b=0.1, k1=k1, k2=k, m=m)).tong_product
+
+        lo, hi = k2 * (1 - 1e-6), k2 * (1 + 1e-6)
+        p_lo, p_hi = product(lo), product(hi)
+        assume(p_lo is not None and p_hi is not None)
+        assume((p_lo > 0) != (p_hi > 0))
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            p_mid = product(mid)
+            if p_mid is not None and (p_mid > 0) == (p_lo > 0):
+                lo = mid
+            else:
+                hi = mid
+        for k in (math.nextafter(lo, 0.0), lo, hi, math.nextafter(hi, math.inf)):
+            self.check(ModelParams(a=a, b=0.1, k1=k1, k2=k, m=m))
+
+    def test_triple_root(self):
+        # m = 0.15, k1 = 2/255, a = 20/51 and k2 = 133/320 make the cubic
+        # exactly (X - 1/10)^3 (see test_semi_hyperbolic_with_vanishing_
+        # quadratic_term): one root, multiplicity 3, at the exact point
+        p = ModelParams(a=20 / 51, b=0.1, k1=2 / 255, k2=133 / 320, m=0.15)
+        assert count_interior_equilibria(p).tong_delta == 0.0
+        (e,) = find_interior_equilibria(p)
+        assert (e.x, e.y, e.multiplicity) == (0.25, 0.515625, 3)
+        assert e.taxonomy == "Saddle" and e.index == -1 and not e.hyperbolic
 
 
 class TestClassify:

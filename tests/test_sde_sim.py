@@ -407,6 +407,23 @@ class TestStationary:
         with pytest.raises(ValueError, match=match):
             stationary_histogram(STOCH, LOG_EULER, seed=1, **args)
 
+    @pytest.mark.parametrize("kw, match", [
+        (dict(scheme="RK4"), "unknown scheme"),
+        (dict(init=(-0.5, 0.6)), "closed quadrant"),
+        (dict(init=(0.55, math.inf)), "initial state must be finite"),
+    ])
+    def test_bad_scheme_or_start_refused_before_noise(self, monkeypatch, kw,
+                                                      match):
+        built = []
+        real = sde_sim._component_rng
+        monkeypatch.setattr(sde_sim, "_component_rng",
+                            lambda *a: built.append(a) or real(*a))
+        args = dict(scheme=LOG_EULER, burn_in=2.0, t_max=10.0, bins=10,
+                    h=0.01) | kw
+        with pytest.raises(ValueError, match=match):
+            stationary_histogram(STOCH, seed=1, **args)
+        assert built == []
+
     @pytest.mark.parametrize("burn_in", [10.0, 12.0])
     def test_burn_in_must_end_before_t_max(self, burn_in):
         with pytest.raises(ValueError,
