@@ -232,6 +232,8 @@ def cmd_sde(args) -> int:
                                 "noise; drop --scheme milstein and --shared-noise")
         n = _horizon(args.h, args.t_max)
         _check_state(*start)  # before any noise is drawn
+        if args.comparison:
+            sde_sim._check_strict_start(*start)
         noise = sde_sim.make_noise(args.seed, args.h, n)
         if args.comparison:
             path = sde_sim.comparison_bundle(p, start, noise)

@@ -125,8 +125,7 @@ def cubic_coefficients(p: ModelParams) -> CubicCoeffs:
 
 
 def _sign_changes(seq):
-    # a NaN entry counts as a sign of its own, unequal to any other
-    signs = [v if math.isnan(v) else v > 0 for v in seq if v != 0]
+    signs = [v > 0 for v in seq if v != 0]
     return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
 

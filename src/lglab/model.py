@@ -216,11 +216,7 @@ def _partials(p: ModelParams, x, y, b):
 
 
 def vector_field(p: ModelParams, state):
-    """Velocity (v1, v2) at a state: Python floats at a state of Python
-    numbers, ints included; arrays at an array-valued state."""
+    """Velocity (v1, v2) at one point, as Python floats; the array form of
+    the field is ode_sim._field_batch."""
     x, y = state
-    if isinstance(x, (float, int)) and isinstance(y, (float, int)):
-        return _field_scalar(p.a, p.b, p.k1, p.k2, p.m, float(x), float(y))
-    # a caller holding arrays has numpy loaded already
-    from .ode_sim import _field_arrays
-    return _field_arrays(p, x, y)
+    return _field_scalar(p.a, p.b, p.k1, p.k2, p.m, float(x), float(y))

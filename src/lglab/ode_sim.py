@@ -41,18 +41,17 @@ def _const(v) -> np.ndarray:
 _ZERO, _ONE, _TWO = _const(0.0), _const(1.0), _const(2.0)
 
 
-def _field_batch(a, b, k1, k2, m, x, y, out=(None, None), work=(None, None)):
+def _field_batch(a, b, k1, k2, m, x, y, out, work):
     """Array evaluation of the vector field; every argument broadcasts.
 
-    out = (v1, v2) and work are optional pairs of arrays of the broadcast
-    shape that receive the result and the intermediates, so a caller in a
-    loop allocates nothing; without them every operation allocates.  A
-    (2, n) array serves as either pair.  Its rows are indexed, not
-    unpacked: unpacking an array builds an iterator and costs several times
-    as much as indexing its two rows (0.79 against 0.17 us on a 2-vCPU
-    Xeon VM), and the lockstep kernels call this once per SDE step and four
-    times per RK4 step.  The operation order is that of _field_scalar
-    either way.
+    out = (v1, v2) and work are pairs of arrays of the broadcast shape that
+    receive the result and the intermediates, so a caller in a loop
+    allocates nothing.  A (2, n) array serves as either pair.  Its rows are
+    indexed, not unpacked: unpacking an array builds an iterator and costs
+    several times as much as indexing its two rows (0.79 against 0.17 us on
+    a 2-vCPU Xeon VM), and the lockstep kernels call this once per SDE step
+    and four times per RK4 step.  The operation order is that of
+    _field_scalar.
     """
     o1, o2, w1, w2 = out[0], out[1], work[0], work[1]
     u = np.maximum(np.subtract(x, m, out=w1), _ZERO, out=w1)
@@ -63,12 +62,6 @@ def _field_batch(a, b, k1, k2, m, x, y, out=(None, None), work=(None, None)):
     v2 = np.subtract(_ONE, np.divide(y, np.add(k2, u, out=w2), out=w2), out=w2)
     v2 = np.multiply(np.multiply(b, y, out=o2), v2, out=o2)
     return v1, v2
-
-
-def _field_arrays(p: ModelParams, x, y):
-    """model.vector_field at a state that is not a pair of floats."""
-    return _field_batch(p.a, p.b, p.k1, p.k2, p.m,
-                        np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
 
 def jacobian(p: ModelParams, state) -> np.ndarray:

@@ -210,6 +210,12 @@ def explicit_upper_prey(sigma1: float, x0: float, noise: NoisePath,
     return t, phi / (1.0 / x0 + integral)
 
 
+def _check_strict_start(x, y) -> None:
+    """comparison_bundle's start rule (its docstring gives the reason)."""
+    if not (x > 0 and y > 0):
+        raise ValueError("initial state must be strictly positive")
+
+
 def comparison_bundle(p: ModelParams, init, noise: NoisePath,
                       t_max: float | None = None) -> ComparisonBundle:
     """System path plus its four stochastic logistic brackets, one noise.
@@ -228,8 +234,7 @@ def comparison_bundle(p: ModelParams, init, noise: NoisePath,
     from (0.55, 0) x_lower <= x failed by up to 2.2e-16 in 6 of 60 runs.
     """
     x0, y0 = float(init[0]), float(init[1])
-    if not (x0 > 0 and y0 > 0):
-        raise ValueError("initial state must be strictly positive")
+    _check_strict_start(x0, y0)
     path = simulate_path(p, (x0, y0), LOG_EULER, noise, t_max)
     n = len(path.times) - 1
     a, b, k1, k2 = p.a, p.b, p.k1, p.k2

@@ -448,6 +448,9 @@ class TestSde:
         (["--x0", "-1"], "initial state must lie in the closed quadrant"),
         (["--y0", "nan"], "initial state must lie in the closed quadrant"),
         (["--y0", "inf"], "initial state must be finite"),
+        (["--comparison", "--y0", "inf"], "initial state must be finite"),
+        (["--comparison", "--x0", "0"],
+         "initial state must be strictly positive"),
     ])
     def test_bad_path_start_refused_before_noise(self, capsys, monkeypatch,
                                                  start, message):
@@ -846,7 +849,7 @@ def test_analysis_runs_without_numpy(tmp_path):
             refused = None
         except InvalidParams as exc:
             refused = str(exc)
-        # Python ints take the scalar path: E2 = (0, k2) at m = 0, a*k2 = k1
+        # Python ints give Python floats: E2 = (0, k2) at m = 0, a*k2 = k1
         unit = ModelParams(a=1, b=1, k1=1, k2=1)
         field = vector_field(unit, (1, 0))
         e2 = classify(unit, Equilibrium(0, 1))

@@ -155,14 +155,22 @@ class TestField:
         assert v1 == 0.3 * 0.7
         assert v2 == 0.3 * 0.5 * (1 - 0.5 / 0.2)
 
+    def test_one_point_gives_python_floats(self, rng):
+        # Python numbers, numpy scalars and 0-d arrays alike
+        p = random_params(rng)
+        want = vector_field(p, (0.4, 0.0))
+        for x, y in ((0.4, 0), (np.float64(0.4), np.int64(0)),
+                     (np.array(0.4), np.array(0.0))):
+            got = vector_field(p, (x, y))
+            assert got == want and all(type(v) is float for v in got)
+
     def test_broadcast_matches_scalar(self, rng):
         p = random_params(rng)
         xs = rng.uniform(0, 1.2, 50)
         ys = rng.uniform(0, 1.2, 50)
-        v1, v2 = vector_field(p, (xs, ys))
-        for i in range(50):
-            s1, s2 = vector_field(p, (float(xs[i]), float(ys[i])))
-            assert v1[i] == s1 and v2[i] == s2
+        # vector_field takes one point; arrays go to the batch kernel
+        with pytest.raises(TypeError):
+            vector_field(p, (xs, ys))
         # the batch kernel writing into out/work given as row pairs or as
         # (2, n) arrays, with float or 0-d parameters, at stage inputs an
         # integrator meets: x < m, x == m, signed zeros, negative values
