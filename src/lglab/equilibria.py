@@ -275,6 +275,16 @@ def trivial_equilibria(p: ModelParams) -> list[Equilibrium]:
     return [e0, e1, e2]
 
 
+def _check_residual(p: ModelParams, e: Equilibrium) -> None:
+    """Raise NotAnEquilibrium unless e zeroes the field (see classify)."""
+    v1, v2 = vector_field(p, (e.x, e.y))
+    size1 = max(abs(e.x), e.x * e.x, p.a * abs(e.y))
+    size2 = p.b * abs(e.y) * max(1.0, abs(e.y) / (p.k2 + max(0.0, e.x - p.m)))
+    if not (abs(v1) <= 1e-9 * size1 and abs(v2) <= 1e-9 * size2):
+        raise NotAnEquilibrium(
+            f"field residual ({v1:.3g}, {v2:.3g}) at ({e.x}, {e.y})")
+
+
 def classify(p: ModelParams, e: Equilibrium) -> Equilibrium:
     """Fill taxonomy, index and hyperbolicity of an interior equilibrium.
 
@@ -289,13 +299,7 @@ def classify(p: ModelParams, e: Equilibrium) -> Equilibrium:
     node (k1 > k2) or saddle (k1 < k2); s and p vanishing leave a cusp if
     q is nonzero, else a saddle.
     """
-    v1, v2 = vector_field(p, (e.x, e.y))
-    size1 = max(abs(e.x), e.x * e.x, p.a * abs(e.y))
-    size2 = p.b * abs(e.y) * max(1.0, abs(e.y) / (p.k2 + max(0.0, e.x - p.m)))
-    if not (abs(v1) <= 1e-9 * size1 and abs(v2) <= 1e-9 * size2):
-        raise NotAnEquilibrium(
-            f"field residual ({v1:.3g}, {v2:.3g}) at ({e.x}, {e.y})")
-
+    _check_residual(p, e)
     d1, _ = _partials(p, e.x, e.y, p.b)
     s = p.b - d1[1, 0]
     det = p.b * (0.0 - d1[1, 0] - d1[0, 1])  # an exact zero is +0.0
@@ -344,8 +348,10 @@ def index_sum_check(eqs: Sequence[Equilibrium],
     trivial_equilibria classifies it: with E2 a saddle the inward-pointing
     field on the attracting region forces the sum to 1; a stable node E2
     absorbs one index and the interior sum must be 0; a semi-hyperbolic E2
-    predicts no sum.
+    predicts no sum.  An unclassified E2 predicts nothing and is refused.
     """
+    if e2.taxonomy is None:
+        raise NonHyperbolicPresent("unclassified E2 in index check")
     for e in eqs:
         if e.taxonomy is None:
             raise NonHyperbolicPresent("unclassified equilibrium in index check")
@@ -386,7 +392,9 @@ def hopf_point(p: ModelParams, e: Equilibrium) -> HopfData:
     0 < b0 < kc = -J12 = a*(x-m)/z.  The Lyapunov coefficient is the Guckenheimer-Holmes
     combination of second and third partials of the field transformed to the
     eigenbasis at b = b0; lam > 0 means the bifurcating orbits are repelling.
+    e must pass classify's field-residual test, else NotAnEquilibrium.
     """
+    _check_residual(p, e)
     d1, _ = _partials(p, e.x, e.y, p.b)
     b0, kc = d1[1, 0], -d1[0, 1]
     if not 0.0 < b0 < kc:

@@ -70,9 +70,11 @@ def jacobian(p: ModelParams, state) -> np.ndarray:
     Raises KinkPoint when m > 0 and x == m exactly: the field has a kink
     there and one-sided derivatives must be queried at m +- eps instead.
     Right of the line it reads model._partials; left of it predation is
-    off and the field is x(1-x), b*y*(1 - y/k2).
+    off and the field is x(1-x), b*y*(1 - y/k2).  The state must be a
+    finite point of the closed quadrant.
     """
     x, y = state
+    _check_state(x, y)
     if p.m > 0 and x == p.m:
         raise KinkPoint(f"jacobian is undefined on the line x = m = {p.m}")
     if x < p.m:

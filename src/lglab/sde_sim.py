@@ -418,6 +418,27 @@ def ensemble(p: ModelParams, init, scheme: str, n_paths: int, seed0: int,
         hist_counts=counts, hist_overflow=overflow)
 
 
+def _chunks(p: ModelParams, scheme: str, x: float, y: float, seed: int,
+            h: float, n: int):
+    """simulate_path from (x, y) with seed's noise over n steps, drawn and
+    stepped _CHUNK steps at a time.  Yields (k, xs, ys, lost): xs and ys
+    arrays of the states at steps k, k + 1, ..., first the start alone and
+    then each chunk's new states, and lost None or the Milstein step that
+    lost positivity, after which it stops."""
+    yield 0, np.array([x]), np.array([y]), None
+    gen1, gen2 = _component_rng(seed, 0), _component_rng(seed, 1)
+    for start in range(0, n, _CHUNK):
+        span = min(_CHUNK, n - start)
+        xs, ys = [x], [y]  # the states at steps start, start + 1, ...
+        lost = _advance(p, scheme, h, gen1.standard_normal(span).tolist(),
+                        gen2.standard_normal(span).tolist(), xs, ys)
+        yield (start + 1, np.array(xs[1:]), np.array(ys[1:]),
+               None if lost is None else start + lost)
+        if lost is not None:
+            return
+        x, y = xs[-1], ys[-1]
+
+
 def _l1(c1, c2) -> float:
     p1 = c1 / max(1, c1.sum())
     p2 = c2 / max(1, c2.sum())
@@ -434,56 +455,49 @@ def stationary_histogram(p: ModelParams, scheme: str, seed: int,
     have settled; the distance between histograms from two different seeds
     checks that the limit does not depend on the realization.  If the
     parameters are outside the proven stationary regime the computation
-    still runs but the report carries a warning flag.
+    still runs but the report carries a warning flag.  seed2 (default
+    seed + 1) must differ from seed.  Each path is simulate_path's, drawn,
+    stepped and binned _CHUNK steps at a time as hitting_time's are, so
+    memory is bounded by the chunk, not the horizon; under Milstein a loss
+    of positivity raises simulate_path's PositivityViolation.
     """
     _check_burn_in(burn_in)
     _check_bins(bins)
-    _, _, n = _check_run(scheme, init, 1, h, t_max)  # before any noise
+    x0, y0, n = _check_run(scheme, init, 1, h, t_max)  # before any noise
     if burn_in >= t_max:
         raise ValueError("burn_in must be smaller than t_max")
+    seed2 = seed + 1 if seed2 is None else seed2
+    if seed2 == seed:
+        raise ValueError("seed2 must differ from seed")
     regime = stochastic_regime(p)
     warning = regime.clause != STATIONARY
 
-    def tail_states(s):
-        noise = make_noise(s, h, n)
-        path = simulate_path(p, init, scheme, noise)
-        return path.states[int(round(burn_in / h)):]
-
-    tail = tail_states(seed)
-    half = len(tail) // 2
-    c_a, o_a = _bin2d(*tail[:half].T, bins)
-    c_b, o_b = _bin2d(*tail[half:].T, bins)
+    first = int(round(burn_in / h))
+    split = first + (n + 1 - first) // 2
+    # [counts, overflow] of the first half, the second half and the other
+    # seed's tail, each over the steps [lo, hi) between two of its edges
+    hists = []
+    for s, edges in ((seed, (first, split, n + 1)), (seed2, (first, n + 1))):
+        parts = [[np.zeros((bins, bins), dtype=np.int64), 0]
+                 for _ in edges[1:]]
+        for k, xs, ys, lost in _chunks(p, scheme, x0, y0, s, h, n):
+            for part, lo, hi in zip(parts, edges, edges[1:]):
+                lo, hi = max(lo - k, 0), min(hi - k, len(xs))
+                if lo < hi:
+                    binned, out = _bin2d(xs[lo:hi], ys[lo:hi], bins)
+                    part[0] += binned
+                    part[1] += out
+            if lost is not None:
+                raise PositivityViolation(f"positivity lost at step {lost}",
+                                          step_index=lost)
+        hists += parts
+    (c_a, o_a), (c_b, o_b), (c_other, _) = hists
     counts, overflow = c_a + c_b, o_a + o_b
-    tail2 = tail_states(seed + 1 if seed2 is None else seed2)
-    c_other, _ = _bin2d(*tail2.T, bins)
 
     return StationaryReport(counts=counts, overflow=overflow,
                             l1_half_vs_half=_l1(c_a, c_b),
                             l1_cross_seed=_l1(counts, c_other),
                             regime=regime.clause, regime_warning=warning)
-
-
-def _first_entry(p: ModelParams, scheme: str, x: float, y: float,
-                 target: Region, seed: int, h: float, n: int):
-    """simulate_path from (x, y) with seed's noise over n steps, drawn and
-    stepped _CHUNK steps at a time up to the chunk where the path first
-    enters target.  Returns (entry step, None), (None, the Milstein step
-    that lost positivity) or (None, None) for a path that never enters."""
-    if target.contains(x, y):
-        return 0, None
-    gen1, gen2 = _component_rng(seed, 0), _component_rng(seed, 1)
-    for start in range(0, n, _CHUNK):
-        span = min(_CHUNK, n - start)
-        xs, ys = [x], [y]  # the states at steps start, start + 1, ...
-        lost = _advance(p, scheme, h, gen1.standard_normal(span).tolist(),
-                        gen2.standard_normal(span).tolist(), xs, ys)
-        inside = target.contains(np.array(xs), np.array(ys))
-        if inside.any():
-            return start + int(inside.argmax()), None
-        if lost is not None:
-            return None, start + lost
-        x, y = xs[-1], ys[-1]
-    return None, None
 
 
 def hitting_time(p: ModelParams, scheme: str, init, target: Region,
@@ -495,7 +509,7 @@ def hitting_time(p: ModelParams, scheme: str, init, target: Region,
     steps, with a relative slack of 1e-12 for the rounding of t_cap / h,
     so no path reports an entry after t_cap.  Paths that never enter by then
     contribute t_cap (censored).  Path i is seeded seed0 + i and runs on
-    its own: simulate_path's update (_advance) steps it _CHUNK steps at a
+    its own: _chunks steps it with simulate_path's update _CHUNK steps at a
     time, on its own draws, until it enters the target or reaches the
     last step, so its hit time is exactly the first entry of
     simulate_path with seed seed0 + i, whatever the width.
@@ -505,8 +519,15 @@ def hitting_time(p: ModelParams, scheme: str, init, target: Region,
     """
     x0, y0, _ = _check_run(scheme, init, n_paths, h, t_cap)
     n = math.floor(t_cap / h * (1 + 1e-12))
-    runs = [_first_entry(p, scheme, x0, y0, target, seed0 + i, h, n)
-            for i in range(n_paths)]
+    runs = []  # (entry step, None) or (None, Milstein step lost or None)
+    for i in range(n_paths):
+        for k, xs, ys, lost in _chunks(p, scheme, x0, y0, seed0 + i, h, n):
+            inside = target.contains(xs, ys)
+            if inside.any():
+                runs.append((k + int(inside.argmax()), None))
+                break
+        else:
+            runs.append((None, lost))
     lost = [(step, i) for i, (_, step) in enumerate(runs) if step is not None]
     if lost:  # the earliest loss, the lowest path on a tie
         raise PositivityViolation(f"positivity lost on path {min(lost)[1]}")

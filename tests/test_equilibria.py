@@ -311,6 +311,11 @@ class TestIndex:
         with pytest.raises(NonHyperbolicPresent):
             index_sum_check([e], trivial_equilibria(THREE)[2])
 
+    def test_unclassified_e2_refused(self):
+        # no taxonomy, no expected sum: passing would certify nothing
+        with pytest.raises(NonHyperbolicPresent, match="unclassified E2"):
+            index_sum_check([], eqmod.Equilibrium(0.0, 0.1))
+
 
 class TestHopf:
     def test_s_vanishes_at_b0(self):
@@ -339,6 +344,13 @@ class TestHopf:
         (e,) = find_interior_equilibria(p)
         with pytest.raises(NoHopf):
             hopf_point(p, e)
+
+    def test_rejects_non_equilibrium(self):
+        # the equilibrium moved off the field's zero by 0.01 in x: a Hopf
+        # point there would be read from the partials of a regular point
+        (e,) = find_interior_equilibria(HOPF_NEG)
+        with pytest.raises(NotAnEquilibrium, match="field residual"):
+            hopf_point(HOPF_NEG, eqmod.Equilibrium(e.x + 0.01, e.y))
 
     def test_lambda_negative_reference_set(self):
         (e,) = find_interior_equilibria(HOPF_NEG)

@@ -217,6 +217,16 @@ class TestJacobian:
         p0 = ModelParams(a=1, b=1, k1=1, k2=1, m=0.0)
         jacobian(p0, (0.0, 0.5))
 
+    @pytest.mark.parametrize("state, match", [
+        ((math.nan, 0.5), "closed quadrant"),
+        ((0.5, -3.0), "closed quadrant"),
+        ((0.5, math.inf), "initial state must be finite"),
+    ])
+    def test_state_outside_quadrant_refused(self, state, match):
+        p = ModelParams(a=1, b=1, k1=1, k2=1, m=0.3)
+        with pytest.raises(ValueError, match=match):
+            jacobian(p, state)
+
 
 def test_partials_match_sympy(rng):
     # sympy differentiates the field right of the refuge line, where

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -383,7 +384,84 @@ class TestEnsemble:
         assert stats.extinction_fraction_x > 0.5
 
 
+def whole_path_stationary(p, scheme, seed, burn_in, t_max, bins, h, init,
+                          seed2):
+    """stationary_histogram's counts, overflow and L1 distances computed from
+    whole paths: make_noise and simulate_path, then _bin2d of the tail
+    halves."""
+    n = round(t_max / h)
+
+    def tail(s):
+        path = simulate_path(p, init, scheme, make_noise(s, h, n))
+        return path.states[round(burn_in / h):]
+
+    states = tail(seed)
+    half = len(states) // 2
+    c_a, o_a = sde_sim._bin2d(*states[:half].T, bins)
+    c_b, o_b = sde_sim._bin2d(*states[half:].T, bins)
+    c_other, _ = sde_sim._bin2d(*tail(seed2).T, bins)
+    return (c_a + c_b, o_a + o_b, sde_sim._l1(c_a, c_b),
+            sde_sim._l1(c_a + c_b, c_other))
+
+
 class TestStationary:
+    @pytest.mark.parametrize("chunk", [sde_sim._CHUNK, 7, 1])
+    @pytest.mark.parametrize("scheme", [LOG_EULER, MILSTEIN])
+    @pytest.mark.parametrize("burn_in, t_max, init", [
+        (1.0, 12.0, (0.55, 0.6)),   # odd tail, 1101 states
+        (1.0, 12.01, (0.55, 0.6)),  # even tail, 1102 states
+        # the tail starts at the last state of the first default chunk,
+        # then at the first state of the second
+        (5.12, 12.0, (0.55, 0.6)),
+        (5.13, 12.01, (0.55, 0.6)),
+        (0.0, 0.004, (0.55, 0.6)),  # t_max < h/2: the start alone
+        (0.0, 3.0, (1.6, 0.6)),     # states over HIST_RANGE overflow
+    ])
+    def test_matches_whole_path_reference(self, monkeypatch, chunk, scheme,
+                                          burn_in, t_max, init):
+        monkeypatch.setattr(sde_sim, "_CHUNK", chunk)
+        kw = dict(burn_in=burn_in, t_max=t_max, bins=10, h=0.01, init=init)
+        for seed2 in (None, 9):
+            rep = stationary_histogram(STOCH, scheme, 3, seed2=seed2, **kw)
+            counts, overflow, l1_half, l1_cross = whole_path_stationary(
+                STOCH, scheme, 3, seed2=4 if seed2 is None else seed2, **kw)
+            assert np.array_equal(rep.counts, counts)
+            assert rep.overflow == overflow
+            assert rep.l1_half_vs_half == l1_half
+            assert rep.l1_cross_seed == l1_cross
+
+    def test_memory_bounded_by_the_chunk(self):
+        # a whole path held about 190 bytes per step, so 14,000 more steps
+        # would add about 2.7 MB to the peak; the bound allows 1 MB
+        def peak(t_max):
+            tracemalloc.start()
+            try:
+                stationary_histogram(STOCH, LOG_EULER, 3, burn_in=1.0,
+                                     t_max=t_max, bins=10, h=0.01)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(20.0)  # the first call pays one-off allocations
+        assert peak(160.0) - peak(20.0) < 2 ** 20
+
+    @pytest.mark.parametrize("chunk", [sde_sim._CHUNK, 7, 1])
+    @pytest.mark.parametrize("seed, step", [
+        (6, 6),  # seed 6 keeps positivity; seed2 = 7 loses it at step 6
+        (8, 29),  # seed 8 loses it on the first step of a 7-step chunk
+    ])
+    def test_milstein_loss_raises_simulate_paths_error(self, monkeypatch,
+                                                       chunk, seed, step):
+        p = replace(STOCH, sigma2=1.0)
+        kw = dict(burn_in=1.0, t_max=40.0, bins=10, h=0.2, init=(0.55, 0.6))
+        with pytest.raises(PositivityViolation) as ref:
+            whole_path_stationary(p, MILSTEIN, seed, seed2=seed + 1, **kw)
+        monkeypatch.setattr(sde_sim, "_CHUNK", chunk)
+        with pytest.raises(PositivityViolation) as exc:
+            stationary_histogram(p, MILSTEIN, seed, **kw)
+        assert str(exc.value) == str(ref.value)
+        assert exc.value.step_index == ref.value.step_index == step
+
     def test_seed_swap_symmetry(self):
         kw = dict(burn_in=5.0, t_max=40.0, bins=20, h=0.01)
         a = stationary_histogram(STOCH, LOG_EULER, seed=4, seed2=5, **kw)
@@ -411,6 +489,7 @@ class TestStationary:
         (dict(scheme="RK4"), "unknown scheme"),
         (dict(init=(-0.5, 0.6)), "closed quadrant"),
         (dict(init=(0.55, math.inf)), "initial state must be finite"),
+        (dict(seed2=1), "seed2 must differ from seed"),
     ])
     def test_bad_scheme_or_start_refused_before_noise(self, monkeypatch, kw,
                                                       match):
