@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import math
 import os
@@ -48,15 +47,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, write) -> None:
+    """Call write(f) on the destination of an artifact: stdout for `-`,
+    else a temporary file beside path, which replaces path once write
+    returns, so an artifact is formatted straight into its file.  The file
+    is opened "w+", so a writer can read back what it wrote."""
     if path == "-":
-        sys.stdout.write(text)
+        write(sys.stdout)
         return
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lglab-tmp-")
     try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
+        with os.fdopen(fd, "w+") as f:
+            write(f)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -143,7 +146,7 @@ def analysis_report(p: ModelParams, want_hopf: bool = False) -> dict:
 def cmd_analyze(args) -> int:
     p = _build_params(args)
     report = analysis_report(p, want_hopf=args.hopf)
-    _atomic_write(args.out, _dump(report))
+    _atomic_write(args.out, lambda f: f.write(_dump(report)))
     if report["index"]["passed"] is False:
         print("index sum mismatch", file=sys.stderr)
         return 2
@@ -166,9 +169,7 @@ def cmd_ode(args) -> int:
         raise InvalidParams("--burn-in applies to ode --detect-cycle only")
     traj = ode_sim.integrate(p, (args.x0, args.y0), scheme=scheme,
                              h=args.h, t_max=t_max)
-    buf = io.StringIO()
-    ode_sim.write_csv(traj, buf)
-    _atomic_write(args.out, buf.getvalue())
+    _atomic_write(args.out, lambda f: ode_sim.write_csv(traj, f))
     if args.detect_cycle:
         if scheme != ode_sim.RK4:
             # detection always runs on the RK4 trajectory
@@ -240,10 +241,9 @@ def cmd_sde(args) -> int:
         else:
             path = sde_sim.simulate_path(p, start, scheme, noise,
                                          shared_noise=args.shared_noise)
-        buf = io.StringIO()
-        sde_sim.write_path_csv(path, buf)
-        text = buf.getvalue()
-    elif args.mode == "ensemble":
+        _atomic_write(args.out, lambda f: sde_sim.write_path_csv(path, f))
+        return 0
+    if args.mode == "ensemble":
         checkpoints = ([float(t) for t in args.checkpoints.split(",")]
                        if args.checkpoints else [args.t_max])
         stats = sde_sim.ensemble(p, start, scheme, args.paths, args.seed,
@@ -277,7 +277,7 @@ def cmd_sde(args) -> int:
             "hitting", mean=rep.mean, median=rep.median,
             fraction_censored=rep.fraction_censored, n_paths=args.paths,
             t_cap=args.t_cap))
-    _atomic_write(args.out, text)
+    _atomic_write(args.out, lambda f: f.write(text))
     return 0
 
 
@@ -335,7 +335,7 @@ def cmd_scan(args) -> int:
         row += [b0, lam, qualitative.stochastic_regime(p).clause]
         rows.append(",".join(row))
 
-    _atomic_write(args.out, "\n".join(rows) + "\n")
+    _atomic_write(args.out, lambda f: f.write("\n".join(rows) + "\n"))
     return 0
 
 

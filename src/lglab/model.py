@@ -154,6 +154,22 @@ def _check_h(h) -> None:
         raise ValueError("h must be finite")
 
 
+def _check_counts(**counts) -> None:
+    """Each count (a step, path or bin count, or a seed) is an integer.
+
+    A float is refused with TypeError in this rule's words, not numpy's,
+    and so is a boolean, which would pass a count's range check.  A numpy
+    integer can exist only once numpy has been imported, so it is looked
+    up without importing numpy, as in _refuse_booleans.
+    """
+    np = sys.modules.get("numpy")
+    integers = (int,) if np is None else (int, np.integer)
+    for name, v in counts.items():
+        if isinstance(v, bool) or not isinstance(v, integers):
+            raise TypeError(f"{name} must be an integer, "
+                            f"not {type(v).__name__}")
+
+
 def _check_burn_in(burn_in) -> None:
     if not burn_in >= 0:
         raise ValueError("burn_in must be >= 0")

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Inconclusive, KinkPoint, NonFinite, StepTooLarge, TooShort
-from .model import (ModelParams, _check_burn_in, _check_h, _check_state,
-                    _field_scalar, _horizon, _partials)
+from .model import (ModelParams, _check_burn_in, _check_counts, _check_h,
+                    _check_state, _field_scalar, _horizon, _partials)
 
 EULER = "Euler"
 RK4 = "RK4"
@@ -213,6 +213,7 @@ def integrate_batch(a, b, k1, k2, m, init, h: float, n_steps: int,
     return that state again.  Their results are stored and the rest step
     on, compacted; results do not change.
     """
+    _check_counts(n_steps=n_steps, tail_start=tail_start)
     _check_h(h)
     if not 0 <= tail_start <= n_steps:
         raise ValueError("need 0 <= tail_start <= n_steps")

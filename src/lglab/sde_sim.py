@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PositivityViolation
-from .model import (ModelParams, _check_burn_in, _check_h, _check_state,
-                    _field_scalar, _horizon)
+from .model import (ModelParams, _check_burn_in, _check_counts, _check_h,
+                    _check_state, _field_scalar, _horizon)
 from .ode_sim import _ONE, Trajectory, _const, _field_batch, _write_rows
 from .qualitative import STATIONARY, Region, stochastic_regime
 
@@ -43,12 +43,24 @@ _CHUNK = 512  # steps of noise drawn at a time per path or lockstep batch
 
 @dataclass(frozen=True)
 class NoisePath:
-    """Two independent standard-normal increment streams on a uniform grid."""
+    """Two independent standard-normal increment streams on a uniform grid.
+
+    xi1 and xi2 must be 1-D numpy arrays of one length (ValueError), so
+    that every step of a path has one increment for each species.  h is
+    checked by the functions that read it.
+    """
 
     seed: int
     h: float
     xi1: np.ndarray
     xi2: np.ndarray
+
+    def __post_init__(self):
+        if not all(isinstance(xi, np.ndarray) and xi.ndim == 1
+                   for xi in (self.xi1, self.xi2)):
+            raise ValueError("xi1 and xi2 must be 1-D numpy arrays")
+        if len(self.xi1) != len(self.xi2):
+            raise ValueError("xi1 and xi2 must have the same length")
 
     @property
     def n_steps(self) -> int:
@@ -106,6 +118,7 @@ def _component_rng(seed: int, component: int) -> np.random.Generator:
 
 def make_noise(seed: int, h: float, n_steps: int) -> NoisePath:
     """Reproducible increments; the two streams never share draws."""
+    _check_counts(seed=seed, n_steps=n_steps)
     _check_h(h)
     if not n_steps >= 0:
         raise ValueError("horizon must be >= 0")
@@ -129,29 +142,46 @@ def simulate_path(p: ModelParams, init, scheme: str, noise: NoisePath,
     n = _horizon(h, t_max, noise.n_steps)
     x, y = float(init[0]), float(init[1])
     _check_state(x, y)
-    # the increments as Python floats: numpy scalars would make every
-    # operation of every step a numpy call
-    g2s = noise.xi2[:n].tolist()
-    g1s = g2s if shared_noise else noise.xi1[:n].tolist()
-    xs, ys = [x], [y]
-    lost = _advance(p, scheme, h, g1s, g2s, xs, ys)
-    if lost is not None:
-        raise PositivityViolation(f"positivity lost at step {lost}",
-                                  step_index=lost)
-    states = np.column_stack([xs, ys])
+    states = np.empty((n + 1, 2))
+    for k, xs, ys in _chunks(p, scheme, x, y, h,
+                             _sliced(noise, n, shared_noise)):
+        states[k:k + len(xs), 0] = xs
+        states[k:k + len(xs), 1] = ys
     times = np.arange(n + 1) * h
     return Trajectory(times=times, states=states, scheme=scheme, h=h)
 
 
-def _advance(p: ModelParams, scheme: str, h: float, g1s, g2s, xs, ys):
-    """Step one path from the state (xs[-1], ys[-1]), one step per pair of
-    standard-normal increments in the lists g1s, g2s (Python floats),
-    appending each new state to xs and ys.
+def _sliced(noise: NoisePath, n: int, shared_noise: bool = False):
+    """The first n increments of noise as _chunks takes them, _CHUNK steps
+    at a time; under shared_noise xi2 drives both species."""
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        g2s = noise.xi2[lo:hi].tolist()
+        yield (g2s if shared_noise else noise.xi1[lo:hi].tolist()), g2s
 
-    Returns None, or under Milstein the 1-based index of the step that took
-    a positive component across zero; the states before it are appended.
+
+def _drawn(seed: int, n: int):
+    """make_noise(seed, h, n)'s increments as _chunks takes them, drawn
+    _CHUNK steps at a time, so only one chunk of them is ever held."""
+    gen1, gen2 = _component_rng(seed, 0), _component_rng(seed, 1)
+    for lo in range(0, n, _CHUNK):
+        span = min(_CHUNK, n - lo)
+        yield (gen1.standard_normal(span).tolist(),
+               gen2.standard_normal(span).tolist())
+
+
+def _chunks(p: ModelParams, scheme: str, x: float, y: float, h: float,
+            increments):
+    """simulate_path's steps from (x, y), one chunk at a time.
+
+    increments yields, per chunk, a pair of lists of standard-normal
+    increments for the prey and the predator, as Python floats: numpy
+    scalars would make every operation of every step a numpy call.  Yields
+    (k, xs, ys), xs and ys arrays of the states at steps k, k + 1, ...:
+    first the start alone, then each chunk's new states.  Under Milstein,
+    a step that takes a positive component across zero ends the path: the
+    states before it are yielded, then PositivityViolation names the step.
     """
-    x, y = xs[-1], ys[-1]
     if scheme not in (MILSTEIN, LOG_EULER):
         raise ValueError(f"unknown scheme {scheme!r}")
     milstein = scheme == MILSTEIN
@@ -160,32 +190,42 @@ def _advance(p: ModelParams, scheme: str, h: float, g1s, g2s, xs, ys):
     sqh = math.sqrt(h)
     c1 = 0.5 * s1 * s1
     c2 = 0.5 * s2 * s2
-    first = len(xs)
-    for g1, g2 in zip(g1s, g2s):
-        v1, v2 = _field_scalar(a, b, k1, k2, m, x, y)
-        if milstein:
-            xn = x + (v1 * h + s1 * x * sqh * g1 + c1 * x * (h * g1 * g1 - h))
-            yn = y + (v2 * h + s2 * y * sqh * g2 + c2 * y * (h * g2 * g2 - h))
-            if (xn <= 0.0 < x) or (yn <= 0.0 < y):
-                # a component whose step factor, 1 + (v/z)h + s sqh g
-                # + c(hg^2 - h), is positive underflowed rather than
-                # crossed zero: it lands on +0.0
-                fx = (1.0 + v1 / x * h + s1 * sqh * g1 + c1 * (h * g1 * g1 - h)
-                      if xn <= 0.0 < x else 1.0)
-                fy = (1.0 + v2 / y * h + s2 * sqh * g2 + c2 * (h * g2 * g2 - h)
-                      if yn <= 0.0 < y else 1.0)
-                if fx <= 0.0 or fy <= 0.0:
-                    return len(xs) - first + 1
-                xn, yn = max(0.0, xn), max(0.0, yn)
-            x, y = xn, yn
-        else:
-            if x > 0.0:
-                x = x * math.exp((v1 / x - c1) * h + s1 * sqh * g1)
-            if y > 0.0:
-                y = y * math.exp((v2 / y - c2) * h + s2 * sqh * g2)
-        xs.append(x)
-        ys.append(y)
-    return None
+    yield 0, np.array([x]), np.array([y])
+    k = 1
+    for g1s, g2s in increments:
+        xs, ys = [], []
+        for g1, g2 in zip(g1s, g2s):
+            v1, v2 = _field_scalar(a, b, k1, k2, m, x, y)
+            if milstein:
+                xn = x + (v1 * h + s1 * x * sqh * g1
+                          + c1 * x * (h * g1 * g1 - h))
+                yn = y + (v2 * h + s2 * y * sqh * g2
+                          + c2 * y * (h * g2 * g2 - h))
+                if (xn <= 0.0 < x) or (yn <= 0.0 < y):
+                    # a component whose step factor, 1 + (v/z)h + s sqh g
+                    # + c(hg^2 - h), is positive underflowed rather than
+                    # crossed zero: it lands on +0.0
+                    fx = (1.0 + v1 / x * h + s1 * sqh * g1
+                          + c1 * (h * g1 * g1 - h) if xn <= 0.0 < x else 1.0)
+                    fy = (1.0 + v2 / y * h + s2 * sqh * g2
+                          + c2 * (h * g2 * g2 - h) if yn <= 0.0 < y else 1.0)
+                    if fx <= 0.0 or fy <= 0.0:
+                        lost = k + len(xs)
+                        yield k, np.array(xs), np.array(ys)
+                        raise PositivityViolation(
+                            f"positivity lost at step {lost}",
+                            step_index=lost)
+                    xn, yn = max(0.0, xn), max(0.0, yn)
+                x, y = xn, yn
+            else:
+                if x > 0.0:
+                    x = x * math.exp((v1 / x - c1) * h + s1 * sqh * g1)
+                if y > 0.0:
+                    y = y * math.exp((v2 / y - c2) * h + s2 * sqh * g2)
+            xs.append(x)
+            ys.append(y)
+        yield k, np.array(xs), np.array(ys)
+        k += len(xs)
 
 
 def explicit_upper_prey(sigma1: float, x0: float, noise: NoisePath,
@@ -243,27 +283,31 @@ def comparison_bundle(p: ModelParams, init, noise: NoisePath,
     sqh = math.sqrt(h)
     d1 = 0.5 * s1 * s1
     d2 = 0.5 * s2 * s2
-    # simulate_path's increments, as Python floats for a fast scalar loop
-    incs = zip((s1 * sqh * noise.xi1[:n]).tolist(),
-               (s2 * sqh * noise.xi2[:n]).tolist())
+    e1s, e2s = s1 * sqh, s2 * sqh  # simulate_path's noise terms per unit
 
     xu = xl = x0
     yu = yl = y0
-    rows = [(xu, yu, xl, yl)]
-    for e1, e2 in incs:
-        # x_lower reads the old y_upper, and y_upper the old x_upper
-        if xl > 0.0:
-            xl = xl * math.exp((1.0 - xl - a * yu / k1 - d1) * h + e1)
-        if yu > 0.0:
-            yu = yu * math.exp(
-                (b * yu * (1.0 - yu / (k2 + xu)) / yu - d2) * h + e2)
-        if xu > 0.0:
-            xu = xu * math.exp((xu * (1.0 - xu) / xu - d1) * h + e1)
-        if yl > 0.0:
-            yl = yl * math.exp((b * yl * (1.0 - yl / k2) / yl - d2) * h + e2)
-        rows.append((xu, yu, xl, yl))
-
-    brackets = np.array(rows)  # x_upper, y_upper, x_lower, y_lower
+    brackets = np.empty((n + 1, 4))  # x_upper, y_upper, x_lower, y_lower
+    brackets[0] = xu, yu, xl, yl
+    k = 1
+    for g1s, g2s in _sliced(noise, n):
+        rows = []
+        for g1, g2 in zip(g1s, g2s):
+            e1, e2 = e1s * g1, e2s * g2
+            # x_lower reads the old y_upper, and y_upper the old x_upper
+            if xl > 0.0:
+                xl = xl * math.exp((1.0 - xl - a * yu / k1 - d1) * h + e1)
+            if yu > 0.0:
+                yu = yu * math.exp(
+                    (b * yu * (1.0 - yu / (k2 + xu)) / yu - d2) * h + e2)
+            if xu > 0.0:
+                xu = xu * math.exp((xu * (1.0 - xu) / xu - d1) * h + e1)
+            if yl > 0.0:
+                yl = yl * math.exp(
+                    (b * yl * (1.0 - yl / k2) / yl - d2) * h + e2)
+            rows.append((xu, yu, xl, yl))
+        brackets[k:k + len(rows)] = rows
+        k += len(rows)
     return ComparisonBundle(times=path.times, x=path.x, y=path.y,
                             x_upper=brackets[:, 0], y_upper=brackets[:, 1],
                             x_lower=brackets[:, 2], y_lower=brackets[:, 3])
@@ -318,6 +362,7 @@ def ensemble(p: ModelParams, init, scheme: str, n_paths: int, seed0: int,
     naming the first path whose positive component steps across zero; a
     component that underflows lands on +0.0, as in simulate_path.
     """
+    _check_counts(n_paths=n_paths, seed0=seed0, bins=bins)
     x0, y0, n = _check_run(scheme, init, n_paths, h, t_max)
     _check_burn_in(burn_in)
     _check_bins(bins)
@@ -389,7 +434,7 @@ def ensemble(p: ModelParams, init, scheme: str, n_paths: int, seed0: int,
             np.add(z, zn, out=zn)
             if zn.min() <= 0.0:
                 lost = (zn <= 0.0) & (z > 0.0)
-                # as in _advance, a positive factor 1 + v*h/z + noise marks
+                # as in _chunks, a positive factor 1 + v*h/z + noise marks
                 # an underflow, which lands on +0.0, not a crossing
                 crossed = lost.copy()
                 crossed[lost] = 1.0 + v[lost] / z[lost] + noise[j][lost] <= 0.0
@@ -418,27 +463,6 @@ def ensemble(p: ModelParams, init, scheme: str, n_paths: int, seed0: int,
         hist_counts=counts, hist_overflow=overflow)
 
 
-def _chunks(p: ModelParams, scheme: str, x: float, y: float, seed: int,
-            h: float, n: int):
-    """simulate_path from (x, y) with seed's noise over n steps, drawn and
-    stepped _CHUNK steps at a time.  Yields (k, xs, ys, lost): xs and ys
-    arrays of the states at steps k, k + 1, ..., first the start alone and
-    then each chunk's new states, and lost None or the Milstein step that
-    lost positivity, after which it stops."""
-    yield 0, np.array([x]), np.array([y]), None
-    gen1, gen2 = _component_rng(seed, 0), _component_rng(seed, 1)
-    for start in range(0, n, _CHUNK):
-        span = min(_CHUNK, n - start)
-        xs, ys = [x], [y]  # the states at steps start, start + 1, ...
-        lost = _advance(p, scheme, h, gen1.standard_normal(span).tolist(),
-                        gen2.standard_normal(span).tolist(), xs, ys)
-        yield (start + 1, np.array(xs[1:]), np.array(ys[1:]),
-               None if lost is None else start + lost)
-        if lost is not None:
-            return
-        x, y = xs[-1], ys[-1]
-
-
 def _l1(c1, c2) -> float:
     p1 = c1 / max(1, c1.sum())
     p2 = c2 / max(1, c2.sum())
@@ -461,12 +485,14 @@ def stationary_histogram(p: ModelParams, scheme: str, seed: int,
     memory is bounded by the chunk, not the horizon; under Milstein a loss
     of positivity raises simulate_path's PositivityViolation.
     """
+    _check_counts(seed=seed, bins=bins)
+    seed2 = seed + 1 if seed2 is None else seed2
+    _check_counts(seed2=seed2)
     _check_burn_in(burn_in)
     _check_bins(bins)
     x0, y0, n = _check_run(scheme, init, 1, h, t_max)  # before any noise
     if burn_in >= t_max:
         raise ValueError("burn_in must be smaller than t_max")
-    seed2 = seed + 1 if seed2 is None else seed2
     if seed2 == seed:
         raise ValueError("seed2 must differ from seed")
     regime = stochastic_regime(p)
@@ -480,16 +506,13 @@ def stationary_histogram(p: ModelParams, scheme: str, seed: int,
     for s, edges in ((seed, (first, split, n + 1)), (seed2, (first, n + 1))):
         parts = [[np.zeros((bins, bins), dtype=np.int64), 0]
                  for _ in edges[1:]]
-        for k, xs, ys, lost in _chunks(p, scheme, x0, y0, s, h, n):
+        for k, xs, ys in _chunks(p, scheme, x0, y0, h, _drawn(s, n)):
             for part, lo, hi in zip(parts, edges, edges[1:]):
                 lo, hi = max(lo - k, 0), min(hi - k, len(xs))
                 if lo < hi:
                     binned, out = _bin2d(xs[lo:hi], ys[lo:hi], bins)
                     part[0] += binned
                     part[1] += out
-            if lost is not None:
-                raise PositivityViolation(f"positivity lost at step {lost}",
-                                          step_index=lost)
         hists += parts
     (c_a, o_a), (c_b, o_b), (c_other, _) = hists
     counts, overflow = c_a + c_b, o_a + o_b
@@ -517,22 +540,27 @@ def hitting_time(p: ModelParams, scheme: str, init, target: Region,
     positivity before it enters; the error names the path that loses it at
     the earliest step (the lowest index on a tie).
     """
+    _check_counts(n_paths=n_paths, seed0=seed0)
     x0, y0, _ = _check_run(scheme, init, n_paths, h, t_cap)
     n = math.floor(t_cap / h * (1 + 1e-12))
-    runs = []  # (entry step, None) or (None, Milstein step lost or None)
+    entries = []  # each path's entry step, None if it never enters
+    lost = []  # (Milstein step lost, path) of each path lost before entry
     for i in range(n_paths):
-        for k, xs, ys, lost in _chunks(p, scheme, x0, y0, seed0 + i, h, n):
-            inside = target.contains(xs, ys)
-            if inside.any():
-                runs.append((k + int(inside.argmax()), None))
-                break
-        else:
-            runs.append((None, lost))
-    lost = [(step, i) for i, (_, step) in enumerate(runs) if step is not None]
+        entry = None
+        try:
+            for k, xs, ys in _chunks(p, scheme, x0, y0, h,
+                                     _drawn(seed0 + i, n)):
+                inside = target.contains(xs, ys)
+                if inside.any():
+                    entry = k + int(inside.argmax())
+                    break
+        except PositivityViolation as exc:
+            lost.append((exc.step_index, i))
+        entries.append(entry)
     if lost:  # the earliest loss, the lowest path on a tie
         raise PositivityViolation(f"positivity lost on path {min(lost)[1]}")
     hit = np.array([math.nan if step is None else step * h
-                    for step, _ in runs])
+                    for step in entries])
 
     censored = np.isnan(hit)
     times = np.where(censored, t_cap, hit)

@@ -82,6 +82,89 @@ def hitting_cases(draw):
             draw(st.integers(0, 1100)))
 
 
+def whole_list_path(p, init, scheme, noise, t_max=None, shared_noise=False):
+    """simulate_path's states as it stepped them before the chunk loop:
+    the whole noise path turned into lists of Python floats, and every
+    state appended to two lists; a Milstein loss raises its error."""
+    h = noise.h
+    n = round(t_max / h) if t_max is not None else noise.n_steps
+    x, y = float(init[0]), float(init[1])
+    g2s = noise.xi2[:n].tolist()
+    g1s = g2s if shared_noise else noise.xi1[:n].tolist()
+    a, b, k1, k2, m = p.a, p.b, p.k1, p.k2, p.m
+    s1, s2 = p.sigma1, p.sigma2
+    sqh = math.sqrt(h)
+    c1 = 0.5 * s1 * s1
+    c2 = 0.5 * s2 * s2
+    xs, ys = [x], [y]
+    for g1, g2 in zip(g1s, g2s):
+        v1, v2 = sde_sim._field_scalar(a, b, k1, k2, m, x, y)
+        if scheme == MILSTEIN:
+            xn = x + (v1 * h + s1 * x * sqh * g1 + c1 * x * (h * g1 * g1 - h))
+            yn = y + (v2 * h + s2 * y * sqh * g2 + c2 * y * (h * g2 * g2 - h))
+            if (xn <= 0.0 < x) or (yn <= 0.0 < y):
+                fx = (1.0 + v1 / x * h + s1 * sqh * g1 + c1 * (h * g1 * g1 - h)
+                      if xn <= 0.0 < x else 1.0)
+                fy = (1.0 + v2 / y * h + s2 * sqh * g2 + c2 * (h * g2 * g2 - h)
+                      if yn <= 0.0 < y else 1.0)
+                if fx <= 0.0 or fy <= 0.0:
+                    lost = len(xs)
+                    raise PositivityViolation(
+                        f"positivity lost at step {lost}", step_index=lost)
+                xn, yn = max(0.0, xn), max(0.0, yn)
+            x, y = xn, yn
+        else:
+            if x > 0.0:
+                x = x * math.exp((v1 / x - c1) * h + s1 * sqh * g1)
+            if y > 0.0:
+                y = y * math.exp((v2 / y - c2) * h + s2 * sqh * g2)
+        xs.append(x)
+        ys.append(y)
+    return np.column_stack([xs, ys])
+
+
+def whole_list_brackets(p, init, noise, t_max=None):
+    """comparison_bundle's x_upper, y_upper, x_lower, y_lower columns as it
+    stepped them before the chunk loop: whole-path increment lists and a
+    list of 4-tuples."""
+    h = noise.h
+    n = round(t_max / h) if t_max is not None else noise.n_steps
+    x0, y0 = init
+    a, b, k1, k2 = p.a, p.b, p.k1, p.k2
+    s1, s2 = p.sigma1, p.sigma2
+    sqh = math.sqrt(h)
+    d1 = 0.5 * s1 * s1
+    d2 = 0.5 * s2 * s2
+    incs = zip((s1 * sqh * noise.xi1[:n]).tolist(),
+               (s2 * sqh * noise.xi2[:n]).tolist())
+    xu = xl = x0
+    yu = yl = y0
+    rows = [(xu, yu, xl, yl)]
+    for e1, e2 in incs:
+        if xl > 0.0:
+            xl = xl * math.exp((1.0 - xl - a * yu / k1 - d1) * h + e1)
+        if yu > 0.0:
+            yu = yu * math.exp(
+                (b * yu * (1.0 - yu / (k2 + xu)) / yu - d2) * h + e2)
+        if xu > 0.0:
+            xu = xu * math.exp((xu * (1.0 - xu) / xu - d1) * h + e1)
+        if yl > 0.0:
+            yl = yl * math.exp((b * yl * (1.0 - yl / k2) / yl - d2) * h + e2)
+        rows.append((xu, yu, xl, yl))
+    return np.array(rows)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """The peak of the memory tracemalloc traces while fn(*args, **kwargs)
+    runs, in bytes, and fn's result."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
 class TestNoise:
     def test_deterministic_and_independent(self):
         n1 = make_noise(7, 0.01, 1000)
@@ -131,6 +214,80 @@ class TestNoise:
             explicit_upper_prey(0.1, 0.5, noise)
         with pytest.raises(ValueError, match="h must be finite"):
             stationary_histogram(STOCH, LOG_EULER, 0, 0.0, 1.0, h=math.inf)
+
+
+    @pytest.mark.parametrize("xi1, xi2, match", [
+        # simulate_path answered 6 times with 4 states for these
+        (np.zeros(5), np.zeros(3), "the same length"),
+        (np.zeros(3), np.zeros(5), "the same length"),
+        ([0.0] * 3, [0.0] * 3, "1-D numpy arrays"),
+        (np.zeros(3), [0.0] * 3, "1-D numpy arrays"),
+        (np.zeros((3, 1)), np.zeros((3, 1)), "1-D numpy arrays"),
+        (np.float64(0.0), np.float64(0.0), "1-D numpy arrays"),
+    ])
+    def test_streams_a_path_cannot_answer_are_refused(self, xi1, xi2, match):
+        with pytest.raises(ValueError, match=match):
+            NoisePath(seed=0, h=0.01, xi1=xi1, xi2=xi2)
+
+
+def _batch(**kw):
+    from lglab.ode_sim import integrate_batch
+    args = {"h": 0.01, "n_steps": 10, "tail_start": 0, **kw}
+    return integrate_batch(0.4, 0.1, 0.08, 0.2, 0.0025, [[0.55, 0.6]], **args)
+
+
+# each count of the public entry points, and a call that passes v as it
+COUNTS = {
+    "n_steps": lambda v: make_noise(1, 0.01, v),
+    "seed": lambda v: make_noise(v, 0.01, 10),
+    "n_paths": lambda v: ensemble(STOCH, (0.55, 0.6), LOG_EULER, n_paths=v,
+                                  seed0=0, t_max=1.0, checkpoints=[]),
+    "seed0": lambda v: ensemble(STOCH, (0.55, 0.6), LOG_EULER, n_paths=2,
+                                seed0=v, t_max=1.0, checkpoints=[]),
+    "bins": lambda v: ensemble(STOCH, (0.55, 0.6), LOG_EULER, n_paths=2,
+                               seed0=0, t_max=1.0, checkpoints=[], bins=v),
+    "stationary bins": lambda v: stationary_histogram(
+        STOCH, LOG_EULER, 3, 0.0, 1.0, bins=v),
+    "stationary seed": lambda v: stationary_histogram(
+        STOCH, LOG_EULER, v, 0.0, 1.0),
+    "seed2": lambda v: stationary_histogram(STOCH, LOG_EULER, 3, 0.0, 1.0,
+                                            seed2=v),
+    "hitting n_paths": lambda v: hitting_time(
+        STOCH, LOG_EULER, (0.55, 0.6), Region(0.0, 0.1, 0.0, 0.1),
+        n_paths=v, seed0=0, t_cap=1.0),
+    "hitting seed0": lambda v: hitting_time(
+        STOCH, LOG_EULER, (0.55, 0.6), Region(0.0, 0.1, 0.0, 0.1),
+        n_paths=2, seed0=v, t_cap=1.0),
+    "batch n_steps": lambda v: _batch(n_steps=v),
+    "tail_start": lambda v: _batch(tail_start=v),
+}
+
+
+class TestCounts:
+    @pytest.mark.parametrize("count", COUNTS)
+    @pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(2.0), True,
+                                     np.True_, "2"])
+    def test_non_integer_refused_before_any_draw(self, monkeypatch, count,
+                                                 bad):
+        def no_draws(*args):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(sde_sim, "_component_rng", no_draws)
+        name = count.split()[-1]
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, "
+                                            f"not {type(bad).__name__}$"):
+            COUNTS[count](bad)
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_numpy_integers_accepted(self, count):
+        for kind in (np.int64, np.int32, np.uint8):
+            COUNTS[count](kind(2))  # no error
+
+    def test_numpy_integer_counts_give_the_same_noise(self):
+        a = make_noise(np.int64(7), 0.01, np.int32(100))
+        b = make_noise(7, 0.01, 100)
+        assert a.xi1.tobytes() == b.xi1.tobytes()
+        assert a.xi2.tobytes() == b.xi2.tobytes()
 
 
 class TestHorizon:
@@ -220,6 +377,73 @@ class TestPath:
         assert exc.value.step_index >= 1
 
 
+    @pytest.mark.parametrize("chunk", [sde_sim._CHUNK, 7, 1])
+    @pytest.mark.parametrize("scheme", [LOG_EULER, MILSTEIN])
+    @pytest.mark.parametrize("shared_noise", [False, True])
+    @pytest.mark.parametrize("t_max", [None, 10.0, 5.12, 0.004])
+    def test_matches_whole_list_reference(self, monkeypatch, chunk, scheme,
+                                          shared_noise, t_max):
+        # 1100 steps of noise cross the default chunk edges at 512 and
+        # 1024; t_max 5.12 ends on one, and 0.004 gives the start alone
+        noise = make_noise(9, 0.01, 1100)
+        ref = whole_list_path(STOCH, (0.55, 0.6), scheme, noise, t_max,
+                              shared_noise)
+        monkeypatch.setattr(sde_sim, "_CHUNK", chunk)
+        sp = simulate_path(STOCH, (0.55, 0.6), scheme, noise, t_max,
+                           shared_noise)
+        assert sp.states.tobytes() == ref.tobytes()
+        assert sp.times.tobytes() == (np.arange(len(ref)) * 0.01).tobytes()
+
+    @pytest.mark.parametrize("chunk", [sde_sim._CHUNK, 7, 1])
+    @pytest.mark.parametrize("seed, shared_noise, step", [
+        (8, False, 29), (39, True, 8)])
+    def test_milstein_loss_on_a_chunk_edge(self, monkeypatch, chunk, seed,
+                                           shared_noise, step):
+        # steps 29 and 8 are each the first step of a 7-step chunk (and of
+        # a 1-step one)
+        p = replace(STOCH, sigma2=1.0)
+        noise = make_noise(seed, 0.2, 200)
+        with pytest.raises(PositivityViolation) as ref:
+            whole_list_path(p, (0.55, 0.6), MILSTEIN, noise,
+                            shared_noise=shared_noise)
+        monkeypatch.setattr(sde_sim, "_CHUNK", chunk)
+        with pytest.raises(PositivityViolation) as exc:
+            simulate_path(p, (0.55, 0.6), MILSTEIN, noise,
+                          shared_noise=shared_noise)
+        assert str(exc.value) == str(ref.value)
+        assert exc.value.step_index == ref.value.step_index
+        assert ref.value.step_index == step
+
+    def test_memory_bounded_by_the_output(self):
+        # the whole-list loop peaked at 32 MB over these 200,000 steps, for
+        # 4.8 MB of states and times
+        noise = make_noise(3, 0.01, 200_000)
+        traced_peak(simulate_path, STOCH, (0.55, 0.6), LOG_EULER,
+                    make_noise(3, 0.01, 10))  # one-off allocations
+        peak, sp = traced_peak(simulate_path, STOCH, (0.55, 0.6), LOG_EULER,
+                               noise)
+        assert peak - (sp.states.nbytes + sp.times.nbytes) < 2 * 2 ** 20
+
+
+    @pytest.mark.parametrize("flags", [
+        [], ["--shared-noise"], ["--scheme", "milstein"], ["--comparison"]])
+    def test_cli_memory_below_the_csv(self, tmp_path, flags):
+        # `sde path` formats its CSV straight into the file: at t_max 2000,
+        # staging the CSV text first peaked at 35.3, 30.2, 35.3 and 69.7 MB
+        # for CSVs of 11.1, 11.1, 11.1 and 27.6 MB.  t_max 1000 keeps the
+        # traced run short
+        from lglab.cli import main
+        out = tmp_path / "path.csv"
+        argv = ["sde", "path", "--a", "0.4", "--b", "0.1", "--k1", "0.08",
+                "--k2", "0.2", "--m", "0.0025", "--sigma1", "0.1",
+                "--sigma2", "0.1", "--seed", "7", "--h", "0.01",
+                *flags, "--out", str(out)]
+        assert main([*argv, "--t-max", "1"]) == 0  # one-off allocations
+        peak, rc = traced_peak(main, [*argv, "--t-max", "1000"])
+        assert rc == 0
+        assert peak < out.stat().st_size
+
+
 class TestUpperPrey:
     def test_initial_value(self):
         noise = make_noise(2, 0.01, 100)
@@ -281,6 +505,19 @@ class TestComparison:
         assert np.array_equal(b.times, sp.times)
         assert np.array_equal(b.x, sp.x)
         assert np.array_equal(b.y, sp.y)
+
+    @pytest.mark.parametrize("chunk", [sde_sim._CHUNK, 7, 1])
+    @pytest.mark.parametrize("t_max", [None, 10.0, 5.12])
+    def test_brackets_match_whole_list_reference(self, monkeypatch, chunk,
+                                                 t_max):
+        noise = make_noise(4, 0.01, 1100)
+        ref = whole_list_brackets(STOCH, (0.55, 0.6), noise, t_max)
+        monkeypatch.setattr(sde_sim, "_CHUNK", chunk)
+        b = comparison_bundle(STOCH, (0.55, 0.6), noise, t_max)
+        got = np.column_stack([b.x_upper, b.y_upper, b.x_lower, b.y_lower])
+        assert got.tobytes() == ref.tobytes()
+        path = whole_list_path(STOCH, (0.55, 0.6), LOG_EULER, noise, t_max)
+        assert np.column_stack([b.x, b.y]).tobytes() == path.tobytes()
 
     @pytest.mark.parametrize("init", [(0.0, 0.6), (0.55, 0.0)])
     def test_start_on_an_axis_rejected(self, init):
@@ -434,13 +671,8 @@ class TestStationary:
         # a whole path held about 190 bytes per step, so 14,000 more steps
         # would add about 2.7 MB to the peak; the bound allows 1 MB
         def peak(t_max):
-            tracemalloc.start()
-            try:
-                stationary_histogram(STOCH, LOG_EULER, 3, burn_in=1.0,
-                                     t_max=t_max, bins=10, h=0.01)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(stationary_histogram, STOCH, LOG_EULER, 3,
+                               burn_in=1.0, t_max=t_max, bins=10, h=0.01)[0]
 
         peak(20.0)  # the first call pays one-off allocations
         assert peak(160.0) - peak(20.0) < 2 ** 20
