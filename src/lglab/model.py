@@ -170,6 +170,16 @@ def _check_counts(**counts) -> None:
                             f"not {type(v).__name__}")
 
 
+def _check_seeds(**seeds) -> None:
+    """Each seed is an integer (_check_counts) and >= 0, as numpy's seeding
+    needs: checked before any noise generator is built, so that the error
+    is in lglab's words and not numpy's."""
+    _check_counts(**seeds)
+    for name, seed in seeds.items():
+        if seed < 0:
+            raise ValueError(f"{name} must be >= 0")
+
+
 def _check_burn_in(burn_in) -> None:
     if not burn_in >= 0:
         raise ValueError("burn_in must be >= 0")
@@ -232,7 +242,9 @@ def _partials(p: ModelParams, x, y, b):
 
 
 def vector_field(p: ModelParams, state):
-    """Velocity (v1, v2) at one point, as Python floats; the array form of
-    the field is ode_sim._field_batch."""
+    """Velocity (v1, v2) at one finite point of the closed quadrant, as
+    Python floats; the array form of the field is ode_sim._field_batch."""
     x, y = state
-    return _field_scalar(p.a, p.b, p.k1, p.k2, p.m, float(x), float(y))
+    x, y = float(x), float(y)
+    _check_state(x, y)
+    return _field_scalar(p.a, p.b, p.k1, p.k2, p.m, x, y)

@@ -28,8 +28,9 @@ import numpy as np
 
 from .errors import PositivityViolation
 from .model import (ModelParams, _check_burn_in, _check_counts, _check_h,
-                    _check_state, _field_scalar, _horizon)
-from .ode_sim import _ONE, Trajectory, _const, _field_batch, _write_rows
+                    _check_seeds, _check_state, _field_scalar, _horizon)
+from .ode_sim import (_CHUNK, _ONE, Trajectory, _const, _field_batch,
+                      _write_rows)
 from .qualitative import STATIONARY, Region, stochastic_regime
 
 MILSTEIN = "Milstein"
@@ -38,16 +39,14 @@ LOG_EULER = "LogEuler"
 EXTINCTION_THRESHOLD = 1e-3
 HIST_RANGE = 1.5  # histogram domain [0, 1.5]^2 plus overflow
 
-_CHUNK = 512  # steps of noise drawn at a time per path or lockstep batch
-
 
 @dataclass(frozen=True)
 class NoisePath:
     """Two independent standard-normal increment streams on a uniform grid.
 
-    xi1 and xi2 must be 1-D numpy arrays of one length (ValueError), so
-    that every step of a path has one increment for each species.  h is
-    checked by the functions that read it.
+    xi1 and xi2 must be finite 1-D numpy arrays of one length
+    (ValueError), so that every step of a path has one increment for each
+    species.  h is checked by the functions that read it.
     """
 
     seed: int
@@ -61,6 +60,8 @@ class NoisePath:
             raise ValueError("xi1 and xi2 must be 1-D numpy arrays")
         if len(self.xi1) != len(self.xi2):
             raise ValueError("xi1 and xi2 must have the same length")
+        if not (np.isfinite(self.xi1).all() and np.isfinite(self.xi2).all()):
+            raise ValueError("xi1 and xi2 must be finite")
 
     @property
     def n_steps(self) -> int:
@@ -118,7 +119,8 @@ def _component_rng(seed: int, component: int) -> np.random.Generator:
 
 def make_noise(seed: int, h: float, n_steps: int) -> NoisePath:
     """Reproducible increments; the two streams never share draws."""
-    _check_counts(seed=seed, n_steps=n_steps)
+    _check_seeds(seed=seed)
+    _check_counts(n_steps=n_steps)
     _check_h(h)
     if not n_steps >= 0:
         raise ValueError("horizon must be >= 0")
@@ -362,7 +364,8 @@ def ensemble(p: ModelParams, init, scheme: str, n_paths: int, seed0: int,
     naming the first path whose positive component steps across zero; a
     component that underflows lands on +0.0, as in simulate_path.
     """
-    _check_counts(n_paths=n_paths, seed0=seed0, bins=bins)
+    _check_counts(n_paths=n_paths, bins=bins)
+    _check_seeds(seed0=seed0)
     x0, y0, n = _check_run(scheme, init, n_paths, h, t_max)
     _check_burn_in(burn_in)
     _check_bins(bins)
@@ -485,9 +488,10 @@ def stationary_histogram(p: ModelParams, scheme: str, seed: int,
     memory is bounded by the chunk, not the horizon; under Milstein a loss
     of positivity raises simulate_path's PositivityViolation.
     """
-    _check_counts(seed=seed, bins=bins)
+    _check_counts(bins=bins)
+    _check_seeds(seed=seed)
     seed2 = seed + 1 if seed2 is None else seed2
-    _check_counts(seed2=seed2)
+    _check_seeds(seed2=seed2)
     _check_burn_in(burn_in)
     _check_bins(bins)
     x0, y0, n = _check_run(scheme, init, 1, h, t_max)  # before any noise
@@ -540,7 +544,8 @@ def hitting_time(p: ModelParams, scheme: str, init, target: Region,
     positivity before it enters; the error names the path that loses it at
     the earliest step (the lowest index on a tie).
     """
-    _check_counts(n_paths=n_paths, seed0=seed0)
+    _check_counts(n_paths=n_paths)
+    _check_seeds(seed0=seed0)
     x0, y0, _ = _check_run(scheme, init, n_paths, h, t_cap)
     n = math.floor(t_cap / h * (1 + 1e-12))
     entries = []  # each path's entry step, None if it never enters

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,3 +30,14 @@ def random_params(rng, m_mode="any", sigma=False):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250826)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """The peak of the memory tracemalloc traces while fn(*args, **kwargs)
+    runs, in bytes, and fn's result."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()

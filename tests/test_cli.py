@@ -522,6 +522,18 @@ class TestSde:
                                  *paths(mode), *target, *flags])
         assert_one_error(code, out, f"{flags[0]} applies to sde {own} only")
 
+    @pytest.mark.parametrize("mode, name", [
+        ("path", "seed"), ("ensemble", "seed0"), ("stationary", "seed"),
+        ("hitting", "seed0")])
+    def test_negative_seed_is_exit_1_in_lglab_words(self, capsys, mode,
+                                                    name):
+        # numpy's "expected non-negative integer" named no flag
+        target = ["--target", "0,2,0,2"] if mode == "hitting" else []
+        argv = ["sde", mode, *STOCH, *seeded(mode), *paths(mode), *target]
+        argv[argv.index("--seed") + 1] = "-1"
+        code, out = run(capsys, argv)
+        assert_one_error(code, out, f"{name} must be >= 0")
+
     def test_omitted_bins_and_t_cap_take_their_defaults(self, capsys):
         code, out = run(capsys, ["sde", "ensemble", *STOCH,
                                  *seeded("ensemble"), *paths("ensemble")])

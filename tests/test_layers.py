@@ -1,13 +1,13 @@
 """The package's modules form one import order, read from their source.
 
 The analysis layer (errors, model, equilibria, qualitative) runs on the
-standard library, and no module imports one that comes after it in
-ORDER.  test_analysis_runs_without_numpy checks the first rule by running
-the analysis in a fresh interpreter, but it sees only the imports on the
-paths it runs: a function-level import on a branch it never takes goes
-unseen, and that is how model.vector_field once imported ode_sim.  So
-every import statement of every module is read here with ast, function
-bodies included, whether or not anything runs it.
+standard library, the rest on it and numpy alone, and no module imports
+one that comes after it in ORDER.  test_analysis_runs_without_numpy
+checks the first rule by running the analysis in a fresh interpreter, but
+it sees only the imports on the paths it runs: a function-level import on
+a branch it never takes goes unseen, and that is how model.vector_field
+once imported ode_sim.  So every import statement of every module is read
+here with ast, function bodies included, whether or not anything runs it.
 """
 
 import ast
@@ -66,3 +66,11 @@ def test_imports_only_earlier_modules(module):
 def test_analysis_layer_imports_only_the_standard_library(module):
     _, outside = imports(module)
     assert sorted(outside - sys.stdlib_module_names) == []
+
+
+@pytest.mark.parametrize("module", ORDER[len(ANALYSIS):])
+def test_simulation_layer_imports_only_numpy_and_the_standard_library(
+        module):
+    # numpy is the package's one runtime dependency (pyproject.toml)
+    _, outside = imports(module)
+    assert sorted(outside - sys.stdlib_module_names - {"numpy"}) == []

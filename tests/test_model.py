@@ -189,6 +189,20 @@ class TestField:
                 assert np.array(got).tobytes() == want.tobytes()
                 assert np.array(out).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("state, match", [
+        # answered (nan, nan), (nan, 0.05) and (-2.0, -0.075) before
+        ((math.nan, 0.5), "closed quadrant"),
+        ((math.inf, 0.5), "must be finite"),
+        ((-1.0, 0.5), "closed quadrant"),
+        ((0.5, -math.inf), "closed quadrant"),
+        ((np.float64(0.5), np.float64(math.nan)), "closed quadrant"),
+    ])
+    def test_refuses_what_jacobian_refuses(self, state, match):
+        p = ModelParams(a=0.4, b=0.1, k1=0.08, k2=0.2, m=0.0025)
+        for f in (vector_field, jacobian):
+            with pytest.raises(ValueError, match=match):
+                f(p, state)
+
     @given(st.floats(0, 1.5), st.floats(0, 1.5))
     @settings(max_examples=50, deadline=None)
     def test_axes_are_invariant(self, x, y):

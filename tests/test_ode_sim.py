@@ -25,7 +25,7 @@ from lglab import ode_sim
 from lglab.model import _field_scalar
 from lglab.ode_sim import EULER, RK4, integrate_batch, write_csv
 
-from conftest import random_params
+from conftest import random_params, traced_peak
 
 STOCH_FIG = ModelParams(a=0.4, b=0.1, k1=0.08, k2=0.2, m=0.0025)
 
@@ -106,6 +106,29 @@ class TestIntegrate:
             # a NaN after the dip must not hide it
             with pytest.raises(StepTooLarge):
                 integrate_batch(p.a, p.b, p.k1, p.k2, p.m, init, 0.5, 50)
+
+    @pytest.mark.parametrize("chunk", [ode_sim._CHUNK, 7, 1])
+    def test_chunks_do_not_change_the_bits(self, monkeypatch, rng, chunk):
+        p = random_params(rng)
+        want = {scheme: integrate(p, (0.55, 0.6), scheme, h=0.01,
+                                  t_max=20.0).states
+                for scheme in (EULER, RK4)}
+        monkeypatch.setattr(ode_sim, "_CHUNK", chunk)
+        for scheme in (EULER, RK4):
+            got = integrate(p, (0.55, 0.6), scheme, h=0.01, t_max=20.0)
+            assert got.states.tobytes() == want[scheme].tobytes()
+        assert np.array_equal(want[EULER],
+                              euler_oracle(p, (0.55, 0.6), 0.01, 2000))
+
+    def test_memory_bounded_by_the_output(self):
+        # whole Python lists of the states peaked at 9.2 MB over these
+        # 100,000 steps, for 2.4 MB of states and times (18.4 MB for 4.8 MB
+        # at 200,000 RK4 steps); Euler keeps the traced run short
+        traced_peak(integrate, STOCH_FIG, (0.55, 0.6), EULER, h=0.01,
+                    t_max=0.1)  # one-off allocations
+        peak, traj = traced_peak(integrate, STOCH_FIG, (0.55, 0.6), EULER,
+                                 h=0.01, t_max=1000.0)
+        assert peak - (traj.states.nbytes + traj.times.nbytes) < 2 * 2 ** 20
 
     def test_rk4_self_convergence_order(self):
         p = ModelParams(a=0.5, b=0.1, k1=0.08, k2=0.2, m=0.0025)
@@ -423,3 +446,96 @@ def test_csv_roundtrip():
     assert len(lines) == len(traj.times) + 1
     t, x, y = (float(v) for v in lines[-1].split(","))
     assert (x, y) == (traj.x[-1], traj.y[-1])  # 17 digits round-trip exactly
+
+
+def percent_rows(fileobj, header, columns):
+    """The `%` writer that _write_rows replaced; its bytes are the
+    reference: '%.17g' % value is Python's correctly rounded repr."""
+    fileobj.write(header + "\n")
+    fmt = ",".join(["%.17g"] * len(columns)) + "\n"
+    for lo in range(0, len(columns[0]), 4096):
+        block = np.column_stack([c[lo:lo + 4096] for c in columns])
+        fileobj.write((fmt * len(block)) % tuple(block.ravel().tolist()))
+
+
+def assert_percent_bytes(values, ncols_options=(3, 7)):
+    """_write_rows writes values, laid row by row into 3 and into 7
+    columns (cycled to fill the last row), as percent_rows does."""
+    values = np.asarray(values, dtype=float)
+    for ncols in ncols_options:
+        rows = np.resize(values, -(-len(values) // ncols) * ncols)
+        columns = list(rows.reshape(-1, ncols).T)
+        got, want = io.StringIO(), io.StringIO()
+        ode_sim._write_rows(got, "h", columns)
+        percent_rows(want, "h", columns)
+        assert got.getvalue() == want.getvalue()
+
+
+def powers_of_ten():
+    """Each power of ten from 1e-320 to 1e308 and its two neighbours."""
+    tens = np.array([float(f"1e{k}") for k in range(-320, 309)])
+    return np.concatenate([np.nextafter(tens, -np.inf), tens,
+                           np.nextafter(tens, np.inf)])
+
+
+def exact_ties(rng, n):
+    """n + m * 2**-10 for 8-digit n and odd m: 18 significant digits that
+    end in 5, so the 17th rounds half to even, up and down."""
+    whole = rng.integers(10 ** 7, 10 ** 8, n).astype(float)
+    odd = 2 * rng.integers(0, 512, n) + 1
+    return np.concatenate([[12345678 + 2 ** -10], whole + odd * 2.0 ** -10])
+
+
+class TestCsvFormatter:
+    def test_random_bit_patterns(self):
+        # both signs, subnormals, +-inf and NaN among them
+        bits = np.random.default_rng(28).integers(0, 2 ** 64, 200_000,
+                                                  dtype=np.uint64)
+        assert_percent_bytes(bits.view(float))
+
+    def test_special_values(self):
+        assert_percent_bytes([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                              5e-324, -5e-324, 2.2250738585072014e-308,
+                              1.7976931348623157e308, 1e-280, 1e280])
+
+    def test_powers_of_ten_and_neighbours(self):
+        v = powers_of_ten()
+        assert_percent_bytes(np.concatenate([v, -v]))
+
+    def test_dyadics(self):
+        k = np.arange(-1074, 1021)
+        v = np.concatenate([np.ldexp(float(m), k) for m in (1, 3, 5, 7)])
+        assert_percent_bytes(np.concatenate([v, -v]))
+
+    @pytest.mark.parametrize("h", [1e-3, 0.005, 0.01, 0.2])
+    def test_grid_times(self, h):
+        assert_percent_bytes(np.arange(100_001) * h)
+
+    def test_exact_ties(self):
+        v = exact_ties(np.random.default_rng(5), 20_000)
+        assert_percent_bytes(np.concatenate([v, -v, v * 1e-12, v * 1e12]))
+
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_any_floats(self, values):
+        assert_percent_bytes(values)
+
+    @pytest.mark.parametrize("rows", [1, ode_sim._CSV_BLOCK - 1,
+                                      ode_sim._CSV_BLOCK,
+                                      ode_sim._CSV_BLOCK + 1])
+    def test_block_edges(self, rows):
+        v = np.random.default_rng(rows).uniform(-2.0, 2.0, 7 * rows)
+        for ncols in (3, 7):
+            assert_percent_bytes(v[:ncols * rows], ncols_options=(ncols,))
+
+    def test_fallback_takes_what_the_digits_cannot_answer(self):
+        # an exact tie, a near one (its 17-digit fraction is 1/2 + 4.5e-8),
+        # non-finite values and values outside [1e-280, 1e280) go to '%'
+        # itself; whole multiples of ten are sent there later, by
+        # _format_block, when their zeros reach into the integer part
+        v = np.array([12345678 + 2 ** -10, 0.9066470775441711, np.nan,
+                      np.inf, -np.inf, 1e-300, 1e300, 5e-324,
+                      0.0, -0.0, 0.1, 1.25, -3.5e-7, 100.0])
+        fast = ode_sim._digits(v)[2]
+        assert fast.tolist() == [False] * 8 + [True] * 6
+        assert_percent_bytes(v)

@@ -1,6 +1,5 @@
 import io
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +21,8 @@ from lglab import (
 )
 from lglab import sde_sim
 from lglab.sde_sim import LOG_EULER, MILSTEIN, NoisePath, write_path_csv
+
+from conftest import traced_peak
 
 STOCH = ModelParams(a=0.4, b=0.1, k1=0.08, k2=0.2, m=0.0025,
                     sigma1=0.1, sigma2=0.1)
@@ -154,17 +155,6 @@ def whole_list_brackets(p, init, noise, t_max=None):
     return np.array(rows)
 
 
-def traced_peak(fn, *args, **kwargs):
-    """The peak of the memory tracemalloc traces while fn(*args, **kwargs)
-    runs, in bytes, and fn's result."""
-    tracemalloc.start()
-    try:
-        result = fn(*args, **kwargs)
-        return tracemalloc.get_traced_memory()[1], result
-    finally:
-        tracemalloc.stop()
-
-
 class TestNoise:
     def test_deterministic_and_independent(self):
         n1 = make_noise(7, 0.01, 1000)
@@ -224,6 +214,10 @@ class TestNoise:
         (np.zeros(3), [0.0] * 3, "1-D numpy arrays"),
         (np.zeros((3, 1)), np.zeros((3, 1)), "1-D numpy arrays"),
         (np.float64(0.0), np.float64(0.0), "1-D numpy arrays"),
+        # a NaN increment gave a NaN path and no error
+        (np.array([0.0, np.nan]), np.zeros(2), "must be finite"),
+        (np.zeros(2), np.array([np.inf, 0.0]), "must be finite"),
+        (np.array([-np.inf]), np.array([np.nan]), "must be finite"),
     ])
     def test_streams_a_path_cannot_answer_are_refused(self, xi1, xi2, match):
         with pytest.raises(ValueError, match=match):
@@ -264,18 +258,29 @@ COUNTS = {
 
 
 class TestCounts:
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(sde_sim, "_component_rng", refuse)
+
     @pytest.mark.parametrize("count", COUNTS)
     @pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(2.0), True,
                                      np.True_, "2"])
-    def test_non_integer_refused_before_any_draw(self, monkeypatch, count,
-                                                 bad):
-        def no_draws(*args):
-            raise AssertionError("a generator was built")
-
-        monkeypatch.setattr(sde_sim, "_component_rng", no_draws)
+    def test_non_integer_refused_before_any_draw(self, no_draws, count, bad):
         name = count.split()[-1]
         with pytest.raises(TypeError, match=f"^{name} must be an integer, "
                                             f"not {type(bad).__name__}$"):
+            COUNTS[count](bad)
+
+    @pytest.mark.parametrize("count", [c for c in COUNTS if "seed" in c])
+    @pytest.mark.parametrize("bad", [-1, np.int64(-7)])
+    def test_negative_seed_refused_before_any_draw(self, no_draws, count,
+                                                   bad):
+        # numpy refused these with "expected non-negative integer"
+        name = count.split()[-1]
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
             COUNTS[count](bad)
 
     @pytest.mark.parametrize("count", COUNTS)
