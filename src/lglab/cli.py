@@ -30,8 +30,8 @@ from .errors import (
     PositivityViolation,
     StepTooLarge,
 )
-from .model import (_MODEL_FIELDS, ModelParams, _check_burn_in, _check_state,
-                    _horizon, load_params)
+from .model import (_MODEL_FIELDS, ModelParams, _check_burn_in, _check_counts,
+                    _check_state, _check_strict_start, _horizon, load_params)
 from . import equilibria as eq
 from . import qualitative
 
@@ -226,6 +226,7 @@ def cmd_sde(args) -> int:
     for dest, default in row.items():
         if getattr(args, dest) is None:
             setattr(args, dest, default)
+    _check_counts(least=0, seed=args.seed)  # named as the flag, in every mode
 
     if args.mode == "path":
         if args.comparison and (scheme != sde_sim.LOG_EULER or args.shared_noise):
@@ -234,7 +235,7 @@ def cmd_sde(args) -> int:
         n = _horizon(args.h, args.t_max)
         _check_state(*start)  # before any noise is drawn
         if args.comparison:
-            sde_sim._check_strict_start(*start)
+            _check_strict_start(*start)
         noise = sde_sim.make_noise(args.seed, args.h, n)
         if args.comparison:
             path = sde_sim.comparison_bundle(p, start, noise)

@@ -21,7 +21,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 
-from .errors import InvalidParams
+from .errors import InvalidParams, NotAnEquilibrium
 
 _MODEL_FIELDS = ("a", "b", "k1", "k2", "m", "sigma1", "sigma2")
 
@@ -154,13 +154,17 @@ def _check_h(h) -> None:
         raise ValueError("h must be finite")
 
 
-def _check_counts(**counts) -> None:
-    """Each count (a step, path or bin count, or a seed) is an integer.
+def _check_counts(least=None, **counts) -> None:
+    """Each count (a step, path or bin count, or a seed) is an integer, no
+    smaller than least when least is given.
 
     A float is refused with TypeError in this rule's words, not numpy's,
     and so is a boolean, which would pass a count's range check.  A numpy
     integer can exist only once numpy has been imported, so it is looked
-    up without importing numpy, as in _refuse_booleans.
+    up without importing numpy, as in _refuse_booleans.  Every type is
+    checked before any range.  A seed's range, >= 0, is numpy's seeding
+    rule, checked before any generator is built so that its error is in
+    lglab's words.
     """
     np = sys.modules.get("numpy")
     integers = (int,) if np is None else (int, np.integer)
@@ -168,16 +172,9 @@ def _check_counts(**counts) -> None:
         if isinstance(v, bool) or not isinstance(v, integers):
             raise TypeError(f"{name} must be an integer, "
                             f"not {type(v).__name__}")
-
-
-def _check_seeds(**seeds) -> None:
-    """Each seed is an integer (_check_counts) and >= 0, as numpy's seeding
-    needs: checked before any noise generator is built, so that the error
-    is in lglab's words and not numpy's."""
-    _check_counts(**seeds)
-    for name, seed in seeds.items():
-        if seed < 0:
-            raise ValueError(f"{name} must be >= 0")
+    for name, v in counts.items():
+        if least is not None and v < least:
+            raise ValueError(f"{name} must be >= {least}")
 
 
 def _check_burn_in(burn_in) -> None:
@@ -201,12 +198,39 @@ def _horizon(h, t_end, available=None) -> int:
     return n
 
 
-def _check_state(x, y) -> None:
-    """A finite point of the closed quadrant (NaN fails the first test)."""
+def _check_pair(init) -> tuple[float, float]:
+    """A start as the floats (x, y); a third coordinate is not dropped."""
+    if len(init) != 2:
+        raise ValueError("initial state must be a pair (x, y)")
+    return float(init[0]), float(init[1])
+
+
+def _check_state(x, y, noun="initial state") -> None:
+    """A finite point of the closed quadrant (NaN fails the first test);
+    noun names the point in the error."""
     if not (x >= 0 and y >= 0):
-        raise ValueError("initial state must lie in the closed quadrant")
+        raise ValueError(f"{noun} must lie in the closed quadrant")
     if not (x < math.inf and y < math.inf):
-        raise ValueError("initial state must be finite")
+        raise ValueError(f"{noun} must be finite")
+
+
+def _check_strict_start(x, y) -> None:
+    """comparison_bundle's start rule (its docstring gives the reason)."""
+    if not (x > 0 and y > 0):
+        raise ValueError("initial state must be strictly positive")
+
+
+def _check_run(scheme, known, init, h, t_end,
+               available=None) -> tuple[float, float, int]:
+    """The prologue of every run: the horizon (see _horizon), then the
+    scheme, one of known, then the start.  Returns the start as floats
+    and the step count."""
+    n = _horizon(h, t_end, available)
+    if scheme not in known:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    x, y = _check_pair(init)
+    _check_state(x, y)
+    return x, y, n
 
 
 def _field_scalar(a, b, k1, k2, m, x, y):
@@ -246,5 +270,16 @@ def vector_field(p: ModelParams, state):
     Python floats; the array form of the field is ode_sim._field_batch."""
     x, y = state
     x, y = float(x), float(y)
-    _check_state(x, y)
+    _check_state(x, y, "state")
     return _field_scalar(p.a, p.b, p.k1, p.k2, p.m, x, y)
+
+
+def _check_residual(p: ModelParams, e) -> None:
+    """Raise NotAnEquilibrium unless the equilibrium record e zeroes the
+    field (see equilibria.classify)."""
+    v1, v2 = vector_field(p, (e.x, e.y))
+    size1 = max(abs(e.x), e.x * e.x, p.a * abs(e.y))
+    size2 = p.b * abs(e.y) * max(1.0, abs(e.y) / (p.k2 + max(0.0, e.x - p.m)))
+    if not (abs(v1) <= 1e-9 * size1 and abs(v2) <= 1e-9 * size2):
+        raise NotAnEquilibrium(
+            f"field residual ({v1:.3g}, {v2:.3g}) at ({e.x}, {e.y})")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import Inconclusive, KinkPoint, NonFinite, StepTooLarge, TooShort
 from .model import (ModelParams, _check_burn_in, _check_counts, _check_h,
-                    _check_state, _field_scalar, _horizon, _partials)
+                    _check_run, _check_state, _field_scalar, _partials)
 
 EULER = "Euler"
 RK4 = "RK4"
@@ -113,7 +113,7 @@ def jacobian(p: ModelParams, state) -> np.ndarray:
     finite point of the closed quadrant.
     """
     x, y = state
-    _check_state(x, y)
+    _check_state(x, y, "state")
     if p.m > 0 and x == p.m:
         raise KinkPoint(f"jacobian is undefined on the line x = m = {p.m}")
     if x < p.m:
@@ -204,11 +204,7 @@ def integrate(p: ModelParams, init, scheme: str = RK4, h: float = 1e-3,
     stepped on Python floats and then stored into one preallocated states
     array, so no list grows with the horizon.
     """
-    n = _horizon(h, t_max)
-    x, y = float(init[0]), float(init[1])
-    _check_state(x, y)
-    if scheme not in (EULER, RK4):
-        raise ValueError(f"unknown scheme {scheme!r}")
+    x, y, n = _check_run(scheme, (EULER, RK4), init, h, t_max)
     rk4 = scheme == RK4
     a, b, k1, k2, m = p.a, p.b, p.k1, p.k2, p.m
     h2, h6, inf = 0.5 * h, h / 6.0, math.inf

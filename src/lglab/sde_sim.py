@@ -28,13 +28,15 @@ import numpy as np
 
 from .errors import PositivityViolation
 from .model import (ModelParams, _check_burn_in, _check_counts, _check_h,
-                    _check_seeds, _check_state, _field_scalar, _horizon)
+                    _check_pair, _check_run, _check_strict_start,
+                    _field_scalar, _horizon)
 from .ode_sim import (_CHUNK, _ONE, Trajectory, _const, _field_batch,
                       _write_rows)
 from .qualitative import STATIONARY, Region, stochastic_regime
 
 MILSTEIN = "Milstein"
 LOG_EULER = "LogEuler"
+_SCHEMES = (MILSTEIN, LOG_EULER)
 
 EXTINCTION_THRESHOLD = 1e-3
 HIST_RANGE = 1.5  # histogram domain [0, 1.5]^2 plus overflow
@@ -119,7 +121,7 @@ def _component_rng(seed: int, component: int) -> np.random.Generator:
 
 def make_noise(seed: int, h: float, n_steps: int) -> NoisePath:
     """Reproducible increments; the two streams never share draws."""
-    _check_seeds(seed=seed)
+    _check_counts(least=0, seed=seed)
     _check_counts(n_steps=n_steps)
     _check_h(h)
     if not n_steps >= 0:
@@ -141,9 +143,7 @@ def simulate_path(p: ModelParams, init, scheme: str, noise: NoisePath,
     step factor is positive but underflows to <= 0 lands on +0.0.
     """
     h = noise.h
-    n = _horizon(h, t_max, noise.n_steps)
-    x, y = float(init[0]), float(init[1])
-    _check_state(x, y)
+    x, y, n = _check_run(scheme, _SCHEMES, init, h, t_max, noise.n_steps)
     states = np.empty((n + 1, 2))
     for k, xs, ys in _chunks(p, scheme, x, y, h,
                              _sliced(noise, n, shared_noise)):
@@ -183,9 +183,9 @@ def _chunks(p: ModelParams, scheme: str, x: float, y: float, h: float,
     first the start alone, then each chunk's new states.  Under Milstein,
     a step that takes a positive component across zero ends the path: the
     states before it are yielded, then PositivityViolation names the step.
+    The callers check the scheme, with model._check_run: any scheme other
+    than MILSTEIN steps as LOG_EULER here.
     """
-    if scheme not in (MILSTEIN, LOG_EULER):
-        raise ValueError(f"unknown scheme {scheme!r}")
     milstein = scheme == MILSTEIN
     a, b, k1, k2, m = p.a, p.b, p.k1, p.k2, p.m
     s1, s2 = p.sigma1, p.sigma2
@@ -252,12 +252,6 @@ def explicit_upper_prey(sigma1: float, x0: float, noise: NoisePath,
     return t, phi / (1.0 / x0 + integral)
 
 
-def _check_strict_start(x, y) -> None:
-    """comparison_bundle's start rule (its docstring gives the reason)."""
-    if not (x > 0 and y > 0):
-        raise ValueError("initial state must be strictly positive")
-
-
 def comparison_bundle(p: ModelParams, init, noise: NoisePath,
                       t_max: float | None = None) -> ComparisonBundle:
     """System path plus its four stochastic logistic brackets, one noise.
@@ -275,7 +269,7 @@ def comparison_bundle(p: ModelParams, init, noise: NoisePath,
     x_lower ties with x, but 1 - xl - a*yu/k1 rounds unlike x(1-x)/x, and
     from (0.55, 0) x_lower <= x failed by up to 2.2e-16 in 6 of 60 runs.
     """
-    x0, y0 = float(init[0]), float(init[1])
+    x0, y0 = _check_pair(init)
     _check_strict_start(x0, y0)
     path = simulate_path(p, (x0, y0), LOG_EULER, noise, t_max)
     n = len(path.times) - 1
@@ -315,25 +309,6 @@ def comparison_bundle(p: ModelParams, init, noise: NoisePath,
                             x_lower=brackets[:, 2], y_lower=brackets[:, 3])
 
 
-def _check_run(scheme: str, init, n_paths: int, h: float,
-               t_end: float) -> tuple[float, float, int]:
-    """The start and step count of a run of n_paths paths from init, after
-    the checks ensemble and hitting_time share, in simulate_path's words."""
-    x0, y0 = float(init[0]), float(init[1])
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    n = _horizon(h, t_end)
-    if scheme not in (MILSTEIN, LOG_EULER):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    _check_state(x0, y0)
-    return x0, y0, n
-
-
-def _check_bins(bins: int) -> None:
-    if not bins >= 1:
-        raise ValueError("bins must be >= 1")
-
-
 def _bin2d(x, y, bins: int) -> tuple[np.ndarray, int]:
     """Counts of the points (x, y) on the [0, HIST_RANGE)^2 grid, and how
     many points fall outside it.  A coordinate just below HIST_RANGE whose
@@ -364,11 +339,10 @@ def ensemble(p: ModelParams, init, scheme: str, n_paths: int, seed0: int,
     naming the first path whose positive component steps across zero; a
     component that underflows lands on +0.0, as in simulate_path.
     """
-    _check_counts(n_paths=n_paths, bins=bins)
-    _check_seeds(seed0=seed0)
-    x0, y0, n = _check_run(scheme, init, n_paths, h, t_max)
+    _check_counts(least=1, n_paths=n_paths, bins=bins)
+    _check_counts(least=0, seed0=seed0)
+    x0, y0, n = _check_run(scheme, _SCHEMES, init, h, t_max)
     _check_burn_in(burn_in)
-    _check_bins(bins)
     if burn_in > t_max:
         raise ValueError("burn_in must not exceed t_max")
     ck_times = np.asarray(checkpoints, dtype=float)
@@ -488,13 +462,12 @@ def stationary_histogram(p: ModelParams, scheme: str, seed: int,
     memory is bounded by the chunk, not the horizon; under Milstein a loss
     of positivity raises simulate_path's PositivityViolation.
     """
-    _check_counts(bins=bins)
-    _check_seeds(seed=seed)
+    _check_counts(least=1, bins=bins)
+    _check_counts(least=0, seed=seed)
     seed2 = seed + 1 if seed2 is None else seed2
-    _check_seeds(seed2=seed2)
+    _check_counts(least=0, seed2=seed2)
+    x0, y0, n = _check_run(scheme, _SCHEMES, init, h, t_max)
     _check_burn_in(burn_in)
-    _check_bins(bins)
-    x0, y0, n = _check_run(scheme, init, 1, h, t_max)  # before any noise
     if burn_in >= t_max:
         raise ValueError("burn_in must be smaller than t_max")
     if seed2 == seed:
@@ -544,9 +517,9 @@ def hitting_time(p: ModelParams, scheme: str, init, target: Region,
     positivity before it enters; the error names the path that loses it at
     the earliest step (the lowest index on a tie).
     """
-    _check_counts(n_paths=n_paths)
-    _check_seeds(seed0=seed0)
-    x0, y0, _ = _check_run(scheme, init, n_paths, h, t_cap)
+    _check_counts(least=1, n_paths=n_paths)
+    _check_counts(least=0, seed0=seed0)
+    x0, y0, _ = _check_run(scheme, _SCHEMES, init, h, t_cap)
     n = math.floor(t_cap / h * (1 + 1e-12))
     entries = []  # each path's entry step, None if it never enters
     lost = []  # (Milstein step lost, path) of each path lost before entry

@@ -523,8 +523,8 @@ class TestSde:
         assert_one_error(code, out, f"{flags[0]} applies to sde {own} only")
 
     @pytest.mark.parametrize("mode, name", [
-        ("path", "seed"), ("ensemble", "seed0"), ("stationary", "seed"),
-        ("hitting", "seed0")])
+        ("path", "seed"), ("ensemble", "seed"), ("stationary", "seed"),
+        ("hitting", "seed")])
     def test_negative_seed_is_exit_1_in_lglab_words(self, capsys, mode,
                                                     name):
         # numpy's "expected non-negative integer" named no flag

@@ -8,6 +8,10 @@ it sees only the imports on the paths it runs: a function-level import on
 a branch it never takes goes unseen, and that is how model.vector_field
 once imported ode_sim.  So every import statement of every module is read
 here with ast, function bodies included, whether or not anything runs it.
+
+The input rules are read the same way: a rule that more than one function
+checks is a `_check_*` function of model, written once, and cli reads no
+private name of the simulation layers, so it reaches each rule in model.
 """
 
 import ast
@@ -23,11 +27,14 @@ ORDER = ("errors", "model", "equilibria", "qualitative", "ode_sim",
 ANALYSIS = ORDER[:4]
 
 
+def source(module):
+    return resources.files("lglab").joinpath(f"{module}.py").read_text()
+
+
 def imports(module):
     """(package modules, outside top-level modules) that module imports."""
-    source = resources.files("lglab").joinpath(f"{module}.py").read_text()
     inside, outside = set(), set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(ast.parse(source(module))):
         if isinstance(node, ast.Import):
             pairs = [(0, alias.name, None) for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -74,3 +81,26 @@ def test_simulation_layer_imports_only_numpy_and_the_standard_library(
     # numpy is the package's one runtime dependency (pyproject.toml)
     _, outside = imports(module)
     assert sorted(outside - sys.stdlib_module_names - {"numpy"}) == []
+
+
+@pytest.mark.parametrize("module", [m for m in ORDER if m != "model"])
+def test_rules_are_defined_in_model(module):
+    defined = [node.name for node in ast.walk(ast.parse(source(module)))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    assert [name for name in defined if name.startswith("_check_")] == []
+
+
+def test_cli_reaches_no_private_name_of_the_simulation_layers():
+    reached = []
+    for node in ast.walk(ast.parse(source("cli"))):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in ("ode_sim", "sde_sim")):
+            reached.append(f"{node.value.id}.{node.attr}")
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").endswith(("ode_sim", "sde_sim"))):
+            reached += [f"{node.module}.{a.name}" for a in node.names]
+    assert sorted(n for n in reached if n.split(".")[-1].startswith("_")) == []
+
+
+def test_unknown_scheme_is_written_once():
+    assert sum(source(m).count("unknown scheme") for m in ORDER) == 1

@@ -200,7 +200,7 @@ class TestField:
     def test_refuses_what_jacobian_refuses(self, state, match):
         p = ModelParams(a=0.4, b=0.1, k1=0.08, k2=0.2, m=0.0025)
         for f in (vector_field, jacobian):
-            with pytest.raises(ValueError, match=match):
+            with pytest.raises(ValueError, match=f"^state .*{match}"):
                 f(p, state)
 
     @given(st.floats(0, 1.5), st.floats(0, 1.5))
@@ -234,7 +234,7 @@ class TestJacobian:
     @pytest.mark.parametrize("state, match", [
         ((math.nan, 0.5), "closed quadrant"),
         ((0.5, -3.0), "closed quadrant"),
-        ((0.5, math.inf), "initial state must be finite"),
+        ((0.5, math.inf), "^state must be finite"),
     ])
     def test_state_outside_quadrant_refused(self, state, match):
         p = ModelParams(a=1, b=1, k1=1, k2=1, m=0.3)
