@@ -31,7 +31,7 @@ from .errors import (
     StepTooLarge,
 )
 from .model import (_MODEL_FIELDS, ModelParams, _check_burn_in, _check_counts,
-                    _check_state, _check_strict_start, _horizon, load_params)
+                    _check_state, _horizon, load_params)
 from . import equilibria as eq
 from . import qualitative
 
@@ -234,8 +234,6 @@ def cmd_sde(args) -> int:
                                 "noise; drop --scheme milstein and --shared-noise")
         n = _horizon(args.h, args.t_max)
         _check_state(*start)  # before any noise is drawn
-        if args.comparison:
-            _check_strict_start(*start)
         noise = sde_sim.make_noise(args.seed, args.h, n)
         if args.comparison:
             path = sde_sim.comparison_bundle(p, start, noise)

@@ -250,14 +250,14 @@ def trivial_equilibria(p: ModelParams) -> list[Equilibrium]:
     E2 is a saddle when m > 0 or a*k2 < k1, a stable node when m = 0 with
     a*k2 > k1, and semi-hyperbolic on the boundary m = 0, a*k2 = k1, where
     the sign of 1 - k1 - a separates an attracting topological node from a
-    topological saddle.
+    topological saddle.  Raises NumericalFailure when a discriminant
+    overflows or is NaN (b near 1e154, or k1 near 0 with m = 0).
     """
     b = p.b
-    e0 = Equilibrium(0.0, 0.0, s=-(1.0 + b), p_det=b, delta_c=(1.0 - b) ** 2,
-                     taxonomy=UNSTABLE_NODE, index=1)
-    e1 = Equilibrium(1.0, 0.0, s=1.0 - b, p_det=-b,
-                     delta_c=(1.0 - b) ** 2 + 4.0 * b,
-                     taxonomy=SADDLE, index=-1)
+    try:
+        delta0 = (1.0 - b) ** 2
+    except OverflowError:
+        delta0 = math.inf
 
     if p.m > 0 or p.a * p.k2 < p.k1:
         j11 = 1.0 if p.m > 0 else 1.0 - p.a * p.k2 / p.k1
@@ -271,7 +271,15 @@ def trivial_equilibria(p: ModelParams) -> list[Equilibrium]:
         hyp = False
     s2 = -(j11 - b)
     p2 = -j11 * b
-    e2 = Equilibrium(0.0, p.k2, s=s2, p_det=p2, delta_c=s2 * s2 - 4.0 * p2,
+    deltas = (delta0, delta0 + 4.0 * b, s2 * s2 - 4.0 * p2)
+    if not all(map(math.isfinite, deltas)):  # an inf s or p makes one so
+        raise NumericalFailure(
+            f"the discriminants of E0, E1 and E2 are not finite: {deltas}")
+    e0 = Equilibrium(0.0, 0.0, s=-(1.0 + b), p_det=b, delta_c=deltas[0],
+                     taxonomy=UNSTABLE_NODE, index=1)
+    e1 = Equilibrium(1.0, 0.0, s=1.0 - b, p_det=-b, delta_c=deltas[1],
+                     taxonomy=SADDLE, index=-1)
+    e2 = Equilibrium(0.0, p.k2, s=s2, p_det=p2, delta_c=deltas[2],
                      taxonomy=tax, index=_INDEX[tax], hyperbolic=hyp)
     return [e0, e1, e2]
 

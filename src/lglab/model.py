@@ -21,7 +21,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 
-from .errors import InvalidParams, NotAnEquilibrium
+from .errors import InvalidParams, NotAnEquilibrium, NumericalFailure
 
 _MODEL_FIELDS = ("a", "b", "k1", "k2", "m", "sigma1", "sigma2")
 
@@ -198,13 +198,6 @@ def _horizon(h, t_end, available=None) -> int:
     return n
 
 
-def _check_pair(init) -> tuple[float, float]:
-    """A start as the floats (x, y); a third coordinate is not dropped."""
-    if len(init) != 2:
-        raise ValueError("initial state must be a pair (x, y)")
-    return float(init[0]), float(init[1])
-
-
 def _check_state(x, y, noun="initial state") -> None:
     """A finite point of the closed quadrant (NaN fails the first test);
     noun names the point in the error."""
@@ -214,21 +207,17 @@ def _check_state(x, y, noun="initial state") -> None:
         raise ValueError(f"{noun} must be finite")
 
 
-def _check_strict_start(x, y) -> None:
-    """comparison_bundle's start rule (its docstring gives the reason)."""
-    if not (x > 0 and y > 0):
-        raise ValueError("initial state must be strictly positive")
-
-
 def _check_run(scheme, known, init, h, t_end,
                available=None) -> tuple[float, float, int]:
     """The prologue of every run: the horizon (see _horizon), then the
-    scheme, one of known, then the start.  Returns the start as floats
-    and the step count."""
+    scheme, one of known, then the start, a pair (a third coordinate is
+    not dropped).  Returns the start as floats and the step count."""
     n = _horizon(h, t_end, available)
     if scheme not in known:
         raise ValueError(f"unknown scheme {scheme!r}")
-    x, y = _check_pair(init)
+    if len(init) != 2:
+        raise ValueError("initial state must be a pair (x, y)")
+    x, y = float(init[0]), float(init[1])
     _check_state(x, y)
     return x, y, n
 
@@ -250,18 +239,23 @@ def _partials(p: ModelParams, x, y, b):
     There, with z = k1 + x - m and w = k2 + x - m, v1 = x - x^2 - a*y +
     a*k1*y/z and v2 = b*y - b*y^2/w.  Returns (d1, d2), dicts keyed by
     (order in x, order in y); absent partials vanish, and every key of d1
-    is a key of d2.
+    is a key of d2.  A power that overflows raises NumericalFailure.
     """
     z, w, ak = p.k1 + x - p.m, p.k2 + x - p.m, p.a * p.k1
-    z2, z3, w2, w3 = z ** 2, z ** 3, w ** 2, w ** 3
-    d1 = {(1, 0): 1.0 - 2.0 * x - p.a * y * p.k1 / z2,
-          (0, 1): -p.a * (x - p.m) / z,
-          (2, 0): -2.0 + 2.0 * ak * y / z3, (1, 1): -ak / z2,
-          (3, 0): -6.0 * ak * y / z ** 4, (2, 1): 2.0 * ak / z3}
-    d2 = {(1, 0): b * y ** 2 / w2, (0, 1): b - 2.0 * b * y / w,
-          (2, 0): -2.0 * b * y ** 2 / w3, (1, 1): 2.0 * b * y / w2,
-          (0, 2): -2.0 * b / w, (3, 0): 6.0 * b * y ** 2 / w ** 4,
-          (2, 1): -4.0 * b * y / w3, (1, 2): 2.0 * b / w2}
+    try:
+        z2, z3, w2, w3 = z ** 2, z ** 3, w ** 2, w ** 3
+        d1 = {(1, 0): 1.0 - 2.0 * x - p.a * y * p.k1 / z2,
+              (0, 1): -p.a * (x - p.m) / z,
+              (2, 0): -2.0 + 2.0 * ak * y / z3, (1, 1): -ak / z2,
+              (3, 0): -6.0 * ak * y / z ** 4, (2, 1): 2.0 * ak / z3}
+        d2 = {(1, 0): b * y ** 2 / w2, (0, 1): b - 2.0 * b * y / w,
+              (2, 0): -2.0 * b * y ** 2 / w3, (1, 1): 2.0 * b * y / w2,
+              (0, 2): -2.0 * b / w, (3, 0): 6.0 * b * y ** 2 / w ** 4,
+              (2, 1): -4.0 * b * y / w3, (1, 2): 2.0 * b / w2}
+    except OverflowError:
+        raise NumericalFailure(
+            f"the field's partials are not finite at ({x}, {y}): "
+            f"k1 + x - m = {z}, k2 + x - m = {w}") from None
     return d1, d2
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .equilibria import (CountReport, Equilibrium, count_interior_equilibria,
                          find_interior_equilibria)
+from .errors import NumericalFailure
 from .model import ModelParams
 
 UNIFORMLY_PERSISTENT = "UniformlyPersistent"
@@ -213,7 +214,12 @@ def stochastic_regime(p: ModelParams) -> RegimeCertificate:
     distribution.  Zones not covered by any of these results are labelled
     Undetermined rather than guessed.
     """
-    s1sq, s2sq = p.sigma1 ** 2, p.sigma2 ** 2
+    try:
+        s1sq, s2sq = p.sigma1 ** 2, p.sigma2 ** 2
+    except OverflowError:
+        raise NumericalFailure(
+            f"the squared noise intensities are not finite: "
+            f"sigma1={p.sigma1}, sigma2={p.sigma2}") from None
     witness = {"sigma1_sq": s1sq, "sigma2_sq": s2sq,
                "two_b": 2.0 * p.b, "m": p.m}
     # noise is on when an intensity is, even if its square underflows

@@ -26,10 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PositivityViolation
+from .errors import NonFinite, PositivityViolation
 from .model import (ModelParams, _check_burn_in, _check_counts, _check_h,
-                    _check_pair, _check_run, _check_strict_start,
-                    _field_scalar, _horizon)
+                    _check_run, _field_scalar, _horizon)
 from .ode_sim import (_CHUNK, _ONE, Trajectory, _const, _field_batch,
                       _write_rows)
 from .qualitative import STATIONARY, Region, stochastic_regime
@@ -183,6 +182,8 @@ def _chunks(p: ModelParams, scheme: str, x: float, y: float, h: float,
     first the start alone, then each chunk's new states.  Under Milstein,
     a step that takes a positive component across zero ends the path: the
     states before it are yielded, then PositivityViolation names the step.
+    A step whose state overflows ends it the same way with NonFinite,
+    found at the end of its chunk, never per step.
     The callers check the scheme, with model._check_run: any scheme other
     than MILSTEIN steps as LOG_EULER here.
     """
@@ -196,37 +197,51 @@ def _chunks(p: ModelParams, scheme: str, x: float, y: float, h: float,
     k = 1
     for g1s, g2s in increments:
         xs, ys = [], []
-        for g1, g2 in zip(g1s, g2s):
-            v1, v2 = _field_scalar(a, b, k1, k2, m, x, y)
-            if milstein:
-                xn = x + (v1 * h + s1 * x * sqh * g1
-                          + c1 * x * (h * g1 * g1 - h))
-                yn = y + (v2 * h + s2 * y * sqh * g2
-                          + c2 * y * (h * g2 * g2 - h))
-                if (xn <= 0.0 < x) or (yn <= 0.0 < y):
-                    # a component whose step factor, 1 + (v/z)h + s sqh g
-                    # + c(hg^2 - h), is positive underflowed rather than
-                    # crossed zero: it lands on +0.0
-                    fx = (1.0 + v1 / x * h + s1 * sqh * g1
-                          + c1 * (h * g1 * g1 - h) if xn <= 0.0 < x else 1.0)
-                    fy = (1.0 + v2 / y * h + s2 * sqh * g2
-                          + c2 * (h * g2 * g2 - h) if yn <= 0.0 < y else 1.0)
-                    if fx <= 0.0 or fy <= 0.0:
-                        lost = k + len(xs)
-                        yield k, np.array(xs), np.array(ys)
-                        raise PositivityViolation(
-                            f"positivity lost at step {lost}",
-                            step_index=lost)
-                    xn, yn = max(0.0, xn), max(0.0, yn)
-                x, y = xn, yn
-            else:
-                if x > 0.0:
-                    x = x * math.exp((v1 / x - c1) * h + s1 * sqh * g1)
-                if y > 0.0:
-                    y = y * math.exp((v2 / y - c2) * h + s2 * sqh * g2)
-            xs.append(x)
-            ys.append(y)
+        lost = None
+        try:
+            for g1, g2 in zip(g1s, g2s):
+                v1, v2 = _field_scalar(a, b, k1, k2, m, x, y)
+                if milstein:
+                    xn = x + (v1 * h + s1 * x * sqh * g1
+                              + c1 * x * (h * g1 * g1 - h))
+                    yn = y + (v2 * h + s2 * y * sqh * g2
+                              + c2 * y * (h * g2 * g2 - h))
+                    if (xn <= 0.0 < x) or (yn <= 0.0 < y):
+                        # a component whose step factor, 1 + (v/z)h + s sqh g
+                        # + c(hg^2 - h), is positive underflowed rather than
+                        # crossed zero: it lands on +0.0
+                        fx = (1.0 + v1 / x * h + s1 * sqh * g1
+                              + c1 * (h * g1 * g1 - h)
+                              if xn <= 0.0 < x else 1.0)
+                        fy = (1.0 + v2 / y * h + s2 * sqh * g2
+                              + c2 * (h * g2 * g2 - h)
+                              if yn <= 0.0 < y else 1.0)
+                        if fx <= 0.0 or fy <= 0.0:
+                            lost = k + len(xs)
+                            break
+                        xn, yn = max(0.0, xn), max(0.0, yn)
+                    x, y = xn, yn
+                else:
+                    if x > 0.0:
+                        x = x * math.exp((v1 / x - c1) * h + s1 * sqh * g1)
+                    if y > 0.0:
+                        y = y * math.exp((v2 / y - c2) * h + s2 * sqh * g2)
+                xs.append(x)
+                ys.append(y)
+        except OverflowError:  # math.exp overflowed on this step
+            xs.append(math.inf)
+            ys.append(math.inf)
+        if xs and not (math.isfinite(xs[-1]) and math.isfinite(ys[-1])):
+            # a non-finite component stays so (inf steps to NaN, NaN to
+            # NaN), so the last state shows it, also before a loss that it
+            # caused
+            bad = int((np.isfinite(xs) & np.isfinite(ys)).argmin())
+            yield k, np.array(xs[:bad]), np.array(ys[:bad])
+            raise NonFinite(f"non-finite state at step {k + bad}")
         yield k, np.array(xs), np.array(ys)
+        if lost is not None:
+            raise PositivityViolation(f"positivity lost at step {lost}",
+                                      step_index=lost)
         k += len(xs)
 
 
@@ -243,11 +258,16 @@ def explicit_upper_prey(sigma1: float, x0: float, noise: NoisePath,
         raise ValueError("x0 must be positive and finite")
     if not 0 <= sigma1 < math.inf:
         raise ValueError("sigma1 must be nonnegative and finite")
+    try:
+        rate = 1.0 - 0.5 * sigma1 ** 2
+    except OverflowError:
+        raise ValueError(
+            f"sigma1 ** 2 is not finite: sigma1={sigma1}") from None
     h = noise.h
     n = _horizon(h, t_max, noise.n_steps)
     t = np.arange(n + 1) * h
     w = np.concatenate([[0.0], math.sqrt(h) * np.cumsum(noise.xi1[:n])])
-    phi = np.exp((1.0 - 0.5 * sigma1 ** 2) * t + sigma1 * w)
+    phi = np.exp(rate * t + sigma1 * w)
     integral = np.concatenate([[0.0], np.cumsum(0.5 * h * (phi[:-1] + phi[1:]))])
     return t, phi / (1.0 / x0 + integral)
 
@@ -263,16 +283,15 @@ def comparison_bundle(p: ModelParams, init, noise: NoisePath,
     y_lower <= y <= y_upper propagate exactly from one grid point to the
     next.  Where x <= m the system's drifts equal x_upper's and y_lower's
     in exact arithmetic, so the brackets are written in _field_scalar's
-    operation order to round such a tie alike.
-
-    The start must be strictly positive, unlike simulate_path's: on y = 0
-    x_lower ties with x, but 1 - xl - a*yu/k1 rounds unlike x(1-x)/x, and
-    from (0.55, 0) x_lower <= x failed by up to 2.2e-16 in 6 of 60 runs.
+    operation order to round such a tie alike.  While y_upper is 0 (so
+    are y and y_lower), 1 - xl - a*yu/k1 rounds unlike the system's
+    x(1-x)/x, so x_lower takes x_upper's drift: x, x_upper and x_lower
+    then follow one recursion.  The start is simulate_path's to check; a
+    bracket that overflows raises NonFinite naming the step.
     """
-    x0, y0 = _check_pair(init)
-    _check_strict_start(x0, y0)
-    path = simulate_path(p, (x0, y0), LOG_EULER, noise, t_max)
+    path = simulate_path(p, init, LOG_EULER, noise, t_max)
     n = len(path.times) - 1
+    x0, y0 = path.states[0].tolist()
     a, b, k1, k2 = p.a, p.b, p.k1, p.k2
     s1, s2 = p.sigma1, p.sigma2
     h = noise.h
@@ -288,20 +307,27 @@ def comparison_bundle(p: ModelParams, init, noise: NoisePath,
     k = 1
     for g1s, g2s in _sliced(noise, n):
         rows = []
-        for g1, g2 in zip(g1s, g2s):
-            e1, e2 = e1s * g1, e2s * g2
-            # x_lower reads the old y_upper, and y_upper the old x_upper
-            if xl > 0.0:
-                xl = xl * math.exp((1.0 - xl - a * yu / k1 - d1) * h + e1)
-            if yu > 0.0:
-                yu = yu * math.exp(
-                    (b * yu * (1.0 - yu / (k2 + xu)) / yu - d2) * h + e2)
-            if xu > 0.0:
-                xu = xu * math.exp((xu * (1.0 - xu) / xu - d1) * h + e1)
-            if yl > 0.0:
-                yl = yl * math.exp(
-                    (b * yl * (1.0 - yl / k2) / yl - d2) * h + e2)
-            rows.append((xu, yu, xl, yl))
+        try:
+            for g1, g2 in zip(g1s, g2s):
+                e1, e2 = e1s * g1, e2s * g2
+                # x_lower reads the old y_upper, and y_upper the old x_upper
+                if xl > 0.0:
+                    v = 1.0 - xl - a * yu / k1 if yu else xl * (1.0 - xl) / xl
+                    xl = xl * math.exp((v - d1) * h + e1)
+                if yu > 0.0:
+                    yu = yu * math.exp(
+                        (b * yu * (1.0 - yu / (k2 + xu)) / yu - d2) * h + e2)
+                if xu > 0.0:
+                    xu = xu * math.exp((xu * (1.0 - xu) / xu - d1) * h + e1)
+                if yl > 0.0:
+                    yl = yl * math.exp(
+                        (b * yl * (1.0 - yl / k2) / yl - d2) * h + e2)
+                rows.append((xu, yu, xl, yl))
+        except OverflowError:  # math.exp overflowed on this step
+            rows.append((math.inf,) * 4)
+        if not all(map(math.isfinite, rows[-1])):  # as in _chunks
+            bad = int(np.isfinite(rows).all(axis=1).argmin())
+            raise NonFinite(f"non-finite bracket at step {k + bad}")
         brackets[k:k + len(rows)] = rows
         k += len(rows)
     return ComparisonBundle(times=path.times, x=path.x, y=path.y,
@@ -321,6 +347,7 @@ def _bin2d(x, y, bins: int) -> tuple[np.ndarray, int]:
     return counts, int((~inside).sum())
 
 
+@np.errstate(over="ignore", invalid="ignore")  # checked at chunk edges
 def ensemble(p: ModelParams, init, scheme: str, n_paths: int, seed0: int,
              t_max: float, checkpoints, h: float = 1e-2,
              burn_in: float = 0.0, bins: int = 50) -> EnsembleStats:
@@ -329,7 +356,8 @@ def ensemble(p: ModelParams, init, scheme: str, n_paths: int, seed0: int,
     Paths advance in lockstep, path i on the generators of simulate_path
     with seed seed0 + i, and each step's state is reduced as it comes:
     moments at each checkpoint are direct cross-path reductions, the
-    histogram pools every 100th post-burn-in state of every path, and the
+    histogram pools every path's states at the multiples of 100 steps from
+    the burn-in on (a burn_in that leaves none is refused), and the
     extinction fractions are read off the last state.  Noise is drawn
     _CHUNK steps at a time into buffers allocated once, so memory is
     bounded by the chunk, not the horizon.  Checkpoints must be distinct
@@ -337,7 +365,9 @@ def ensemble(p: ModelParams, init, scheme: str, n_paths: int, seed0: int,
     within a relative 1e-9 of an integer, so no moments are reported under
     a time they were not taken at.  Milstein raises PositivityViolation
     naming the first path whose positive component steps across zero; a
-    component that underflows lands on +0.0, as in simulate_path.
+    component that underflows lands on +0.0, as in simulate_path.  A
+    state that overflows raises NonFinite naming the first such path,
+    found at the next chunk edge or after the last step.
     """
     _check_counts(least=1, n_paths=n_paths, bins=bins)
     _check_counts(least=0, seed0=seed0)
@@ -345,6 +375,10 @@ def ensemble(p: ModelParams, init, scheme: str, n_paths: int, seed0: int,
     _check_burn_in(burn_in)
     if burn_in > t_max:
         raise ValueError("burn_in must not exceed t_max")
+    burn_step = int(round(burn_in / h))
+    if -(-burn_step // 100) * 100 > n:
+        raise ValueError("burn_in leaves no state to bin: the histogram "
+                         "takes every 100th grid step")
     ck_times = np.asarray(checkpoints, dtype=float)
     if not ((ck_times >= 0.0) & (ck_times <= t_max)).all():
         raise ValueError("checkpoints must lie in [0, t_max]")
@@ -355,7 +389,6 @@ def ensemble(p: ModelParams, init, scheme: str, n_paths: int, seed0: int,
         ck_steps[round(t / h)] = i
     if len(ck_steps) < len(ck_times):
         raise ValueError("checkpoints must fall on distinct grid steps")
-    burn_step = int(round(burn_in / h))
 
     mean = np.zeros((len(ck_times), 2))
     var = np.zeros((len(ck_times), 2))
@@ -377,6 +410,12 @@ def ensemble(p: ModelParams, init, scheme: str, n_paths: int, seed0: int,
     h = _const(h)
     z = np.array([[x0], [y0]]).repeat(n_paths, axis=1)  # prey, predator
     for step in range(n + 1):
+        j = step % _CHUNK
+        if (j == 0 or step == n) and not np.isfinite(z).all():
+            # a non-finite state stays so (and a NaN makes zn.min() NaN,
+            # so no Milstein loss is raised for it): a chunk edge finds it
+            bad = ~np.isfinite(z).all(axis=0)
+            raise NonFinite(f"non-finite state on path {int(np.argmax(bad))}")
         i = ck_steps.get(step)
         if i is not None:
             x, y = z
@@ -388,7 +427,6 @@ def ensemble(p: ModelParams, init, scheme: str, n_paths: int, seed0: int,
             overflow += out
         if step == n:
             break
-        j = step % _CHUNK
         if j == 0:
             span = min(_CHUNK, n - step)
             for c in (0, 1):
@@ -468,7 +506,9 @@ def stationary_histogram(p: ModelParams, scheme: str, seed: int,
     _check_counts(least=0, seed2=seed2)
     x0, y0, n = _check_run(scheme, _SCHEMES, init, h, t_max)
     _check_burn_in(burn_in)
-    if burn_in >= t_max:
+    # in grid steps, so that a tail holds a state past the burn-in; the
+    # first test keeps burn_in / h finite
+    if not (burn_in < t_max and round(burn_in / h) < n):
         raise ValueError("burn_in must be smaller than t_max")
     if seed2 == seed:
         raise ValueError("seed2 must differ from seed")
@@ -515,7 +555,8 @@ def hitting_time(p: ModelParams, scheme: str, init, target: Region,
     simulate_path with seed seed0 + i, whatever the width.
     Under Milstein, a path raises PositivityViolation only if it loses
     positivity before it enters; the error names the path that loses it at
-    the earliest step (the lowest index on a tie).
+    the earliest step (the lowest index on a tie).  The first path whose
+    state overflows before it enters raises NonFinite, naming the path.
     """
     _check_counts(least=1, n_paths=n_paths)
     _check_counts(least=0, seed0=seed0)
@@ -534,6 +575,8 @@ def hitting_time(p: ModelParams, scheme: str, init, target: Region,
                     break
         except PositivityViolation as exc:
             lost.append((exc.step_index, i))
+        except NonFinite:
+            raise NonFinite(f"non-finite state on path {i}") from None
         entries.append(entry)
     if lost:  # the earliest loss, the lowest path on a tie
         raise PositivityViolation(f"positivity lost on path {min(lost)[1]}")

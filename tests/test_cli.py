@@ -373,10 +373,16 @@ class TestSde:
         header = out.out.split("\n", 1)[0]
         assert header == "t,x,y,x_upper,y_upper,x_lower,y_lower"
 
-    def test_comparison_start_on_an_axis_is_exit_1(self, capsys):
+    def test_comparison_start_on_an_axis_runs(self, capsys):
+        # the prey stays at 0, and so do both of its brackets
         code, out = run(capsys, ["sde", "path", *STOCH, "--seed", "1",
                                  "--t-max", "1", "--comparison", "--x0", "0"])
-        assert_one_error(code, out, "initial state must be strictly positive")
+        assert code == 0, out.err
+        rows = out.out.strip().split("\n")[1:]
+        assert len(rows) == 101
+        for line in rows:
+            _, x, _, xu, _, xl, _ = map(float, line.split(","))
+            assert x == xu == xl == 0.0
 
     def test_comparison_prey_underflow(self, capsys):
         # the prey underflows to exactly 0; the system stays there as in
@@ -444,13 +450,24 @@ class TestSde:
         assert code == 1
         assert out.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("mode, flags, message", [
+        ("ensemble", ["--t-max", "1.5", "--burn-in", "1.2"],
+         "burn_in leaves no state to bin: the histogram takes every 100th "
+         "grid step"),
+        ("stationary", ["--t-max", "1", "--burn-in", "0.999"],
+         "burn_in must be smaller than t_max"),
+    ])
+    def test_burn_in_leaving_no_state_is_exit_1(self, capsys, mode, flags,
+                                                message):
+        code, out = run(capsys, ["sde", mode, *STOCH, "--seed", "1",
+                                 *paths(mode), "--h", "0.01", *flags])
+        assert_one_error(code, out, message)
+
     @pytest.mark.parametrize("start, message", [
         (["--x0", "-1"], "initial state must lie in the closed quadrant"),
         (["--y0", "nan"], "initial state must lie in the closed quadrant"),
         (["--y0", "inf"], "initial state must be finite"),
         (["--comparison", "--y0", "inf"], "initial state must be finite"),
-        (["--comparison", "--x0", "0"],
-         "initial state must be strictly positive"),
     ])
     def test_bad_path_start_refused_before_noise(self, capsys, monkeypatch,
                                                  start, message):
@@ -812,6 +829,58 @@ class TestScan:
 ])
 def test_non_finite_input_is_exit_1(capsys, argv, message):
     assert_one_error(*run(capsys, argv), message)
+
+
+NOISE_SQUARES = ("the squared noise intensities are not finite: "
+                 "sigma1=1e+200, sigma2=0.1")
+
+
+# finite flags whose arithmetic overflows: each printed a traceback, or
+# wrote an artifact of inf or NaN states
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", *THREE, "--b", "1e160"],
+     "the discriminants of E0, E1 and E2 are not finite: (inf, inf, inf)"),
+    (["analyze", *THREE, "--k1", "1e78"],
+     "the field's partials are not finite at (1.0, 1.1975): "
+     "k1 + x - m = 1e+78, k2 + x - m = 1.1975"),
+    (["analyze", *STOCH, "--sigma1", "1e200"], NOISE_SQUARES),
+    (["scan", *STOCH, "--sigma1", "1e200", "--scan", "b", "--from", "0.1",
+      "--to", "0.2", "--steps", "2"], NOISE_SQUARES),
+    (["sde", "stationary", *STOCH, "--sigma1", "1e200",
+      *seeded("stationary"), "--burn-in", "0.5"], NOISE_SQUARES),
+    (["sde", "path", *STOCH, "--b", "1e5", "--y0", "0.1", "--seed", "1",
+      "--t-max", "1"], "non-finite state at step 1"),
+    (["sde", "path", *STOCH, "--sigma1", "1e200", "--scheme", "milstein",
+      "--seed", "2", "--t-max", "0.05"], "non-finite state at step 1"),
+    (["sde", "path", "--comparison", "--a", "0.4", "--b", "77000",
+      "--k1", "0.08", "--k2", "1", "--m", "0.9", "--x0", "0.5", "--y0", "0.1",
+      "--seed", "1", "--t-max", "0.05"], "non-finite bracket at step 1"),
+    (["sde", "stationary", *STOCH, "--b", "1e5", "--y0", "0.1",
+      *seeded("stationary"), "--burn-in", "0.5"],
+     "non-finite state at step 1"),
+    (["sde", "ensemble", *STOCH, "--b", "1e6", "--y0", "0.1", "--seed", "1",
+      "--paths", "2", "--t-max", "1"], "non-finite state on path 0"),
+    (["sde", "hitting", *STOCH, "--b", "1e5", "--y0", "0.1", "--seed", "1",
+      "--paths", "2", "--t-cap", "1", "--target", "5,6,5,6"],
+     "non-finite state on path 0"),
+])
+def test_overflow_is_exit_1(capsys, argv, message):
+    assert_one_error(*run(capsys, argv), message)
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_failed_write_keeps_the_old_artifact(tmp_path, error):
+    out = tmp_path / "report.json"
+    out.write_bytes(b"the artifact of an earlier run\n")
+
+    def write(f):
+        f.write("half of an artifact")
+        raise error("stopped half-way")
+
+    with pytest.raises(error):
+        cli._atomic_write(str(out), write)
+    assert out.read_bytes() == b"the artifact of an earlier run\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["report.json"]
 
 
 # every name `dir(lglab)` listed when the package imported numpy eagerly

@@ -50,6 +50,7 @@ from lglab import (
     nondimensionalize,
     simulate_path,
     stationary_histogram,
+    stochastic_regime,
     trivial_equilibria,
     vector_field,
 )
@@ -71,8 +72,15 @@ TARGET = Region(0.0, 2.0, 0.0, 2.0)
 PAIR = "initial state must be a pair (x, y)"
 QUADRANT = "initial state must lie in the closed quadrant"
 FINITE = "initial state must be finite"
+NO_STATE = ("burn_in leaves no state to bin: the histogram takes every "
+            "100th grid step")
 
 
+# z**4 overflows, z = k1 + x - m, at the one interior equilibrium
+BIG_K1 = ModelParams(a=0.5, b=0.1, k1=1e78, k2=0.2, m=0.0025)
+BIG_K1_E = Equilibrium(1.0, 1.1975)
+PARTIALS = ("the field's partials are not finite at (1.0, 1.1975): "
+            "k1 + x - m = 1e+78, k2 + x - m = 1.1975")
 RESIDUAL = re.compile(r"field residual \(\S+, \S+\) at \(\S+, \S+\)")
 
 
@@ -117,12 +125,21 @@ def integrate_run(**kw):
     return lambda: integrate(**args)
 
 
-def path_run(**kw):
-    args = dict(p=STOCH, init=START, scheme=LOG_EULER, noise=NOISE) | kw
+def on_noise(run, **kw):
+    """run(p, init, noise, ...) on NOISE, or on its increments on grid h."""
+    args = dict(p=STOCH, init=START, noise=NOISE) | kw
     h = args.pop("h", None)
     if h is not None:
         args["noise"] = NoisePath(0, h, NOISE.xi1, NOISE.xi2)
-    return lambda: simulate_path(**args)
+    return lambda: run(**args)
+
+
+def path_run(**kw):
+    return on_noise(simulate_path, **dict(scheme=LOG_EULER) | kw)
+
+
+def bundle_run(**kw):
+    return on_noise(comparison_bundle, **kw)
 
 
 REFUSALS = {
@@ -138,8 +155,7 @@ REFUSALS = {
     "NumericalFailure": [], "PositivityViolation": [], "StepTooLarge": [],
     "TooShort": [],
     # functions of a ModelParams that every record answers
-    "cubic_coefficients": [], "trivial_equilibria": [],
-    "invariant_region": [], "stochastic_regime": [],
+    "cubic_coefficients": [], "invariant_region": [],
     # functions of an Analysis, which only analyze builds
     "persistence_report": [], "global_stability_condition": [],
     "no_cycle_conditions": [],
@@ -209,6 +225,22 @@ REFUSALS = {
         ("on x = m", lambda: jacobian(ModelParams(**RATES, m=0.3), (0.3, 0.5)),
          KinkPoint, "jacobian is undefined on the line x = m = 0.3"),
     ],
+    "trivial_equilibria": [
+        ("(1 - b)^2 overflows",
+         lambda: trivial_equilibria(ModelParams(**RATES | dict(b=1e160))),
+         NumericalFailure, "the discriminants of E0, E1 and E2 are not "
+         "finite: (inf, inf, inf)"),
+        ("E2's s and p overflow",
+         lambda: trivial_equilibria(ModelParams(**RATES | dict(k1=5e-324))),
+         NumericalFailure, "the discriminants of E0, E1 and E2 are not "
+         "finite: (0.81, 1.21, nan)"),
+    ],
+    "stochastic_regime": [
+        ("sigma1^2 overflows",
+         lambda: stochastic_regime(ModelParams(**RATES, sigma1=1e200)),
+         NumericalFailure, "the squared noise intensities are not finite: "
+         "sigma1=1e+200, sigma2=0.0"),
+    ],
     "count_interior_equilibria": [
         ("cubic overflows",
          lambda: count_interior_equilibria(ModelParams(a=1e200, b=1, k1=1,
@@ -222,12 +254,16 @@ REFUSALS = {
                                                       k2=1)),
          NumericalFailure,
          re.compile(r"the equilibrium cubic is not finite: .*")),
+        ("partials overflow", lambda: find_interior_equilibria(BIG_K1),
+         NumericalFailure, PARTIALS),
     ],
     "analyze": [
         ("cubic overflows",
          lambda: analyze(ModelParams(a=1e200, b=1, k1=1, k2=1)),
          NumericalFailure,
          re.compile(r"the equilibrium cubic is not finite: .*")),
+        ("partials overflow", lambda: analyze(BIG_K1), NumericalFailure,
+         PARTIALS),
     ],
     "classify": [
         ("off the equilibrium",
@@ -235,6 +271,8 @@ REFUSALS = {
          NotAnEquilibrium, RESIDUAL),
         ("nan point", lambda: classify(P, Equilibrium(math.nan, math.nan)),
          ValueError, "state must lie in the closed quadrant"),
+        ("partials overflow", lambda: classify(BIG_K1, BIG_K1_E),
+         NumericalFailure, PARTIALS),
     ],
     "hopf_point": [
         ("off the equilibrium",
@@ -242,6 +280,8 @@ REFUSALS = {
          NotAnEquilibrium, RESIDUAL),
         ("stable focus", lambda: hopf_point(P, E), NoHopf,
          "b0=-0.108562 outside (0, a*c)= (0, 0.346646)"),
+        ("partials overflow", lambda: hopf_point(BIG_K1, BIG_K1_E),
+         NumericalFailure, PARTIALS),
     ],
     "index_sum_check": [
         ("unclassified E2", lambda: index_sum_check([], Equilibrium(0, 0.2)),
@@ -322,20 +362,10 @@ REFUSALS = {
          PositivityViolation, "positivity lost at step 3"),
     ],
     "comparison_bundle": [
-        ("x0 = 0", lambda: comparison_bundle(STOCH, (0.0, 0.6), NOISE),
-         ValueError, "initial state must be strictly positive"),
-        ("y0 nan", lambda: comparison_bundle(STOCH, (0.55, math.nan), NOISE),
-         ValueError, "initial state must be strictly positive"),
-        ("x0 inf", lambda: comparison_bundle(STOCH, (math.inf, 0.6), NOISE),
-         ValueError, FINITE),
-        ("start of three",
-         lambda: comparison_bundle(STOCH, (0.55, 0.6, 0.7), NOISE),
-         ValueError, PAIR),
-        ("start of one", lambda: comparison_bundle(STOCH, (0.55,), NOISE),
-         ValueError, PAIR),
-        ("past the noise",
-         lambda: comparison_bundle(STOCH, START, NOISE, t_max=1.0),
-         ValueError, "noise path shorter than requested horizon"),
+        *(row for row in prologue(bundle_run, "t_max")
+          if row[0] != "scheme"),  # the bundle runs LogEuler alone
+        ("past the noise", bundle_run(t_max=1.0), ValueError,
+         "noise path shorter than requested horizon"),
     ],
     "explicit_upper_prey": [
         ("x0 = 0", lambda: explicit_upper_prey(0.1, 0.0, NOISE), ValueError,
@@ -344,6 +374,8 @@ REFUSALS = {
          ValueError, "x0 must be positive and finite"),
         ("sigma1 < 0", lambda: explicit_upper_prey(-0.1, 0.5, NOISE),
          ValueError, "sigma1 must be nonnegative and finite"),
+        ("sigma1^2 overflows", lambda: explicit_upper_prey(1e200, 0.5, NOISE),
+         ValueError, "sigma1 ** 2 is not finite: sigma1=1e+200"),
         ("past the noise",
          lambda: explicit_upper_prey(0.1, 0.5, NOISE, t_max=1.0), ValueError,
          "noise path shorter than requested horizon"),
@@ -366,6 +398,11 @@ REFUSALS = {
          "burn_in must be >= 0"),
         ("burn-in > t_max", sde_run("ensemble", burn_in=2.0), ValueError,
          "burn_in must not exceed t_max"),
+        # steps 120-150 and 150 alone hold no multiple of 100 to bin
+        ("burn-in past the last 100th step",
+         sde_run("ensemble", t_max=1.5, burn_in=1.2), ValueError, NO_STATE),
+        ("burn-in = t_max off the 100th step",
+         sde_run("ensemble", t_max=1.5, burn_in=1.5), ValueError, NO_STATE),
         ("checkpoint > t_max", sde_run("ensemble", checkpoints=[2.0]),
          ValueError, "checkpoints must lie in [0, t_max]"),
         ("checkpoint nan", sde_run("ensemble", checkpoints=[math.nan]),
@@ -390,6 +427,12 @@ REFUSALS = {
         ("burn-in < 0", sde_run("stationary", burn_in=-1.0), ValueError,
          "burn_in must be >= 0"),
         ("burn-in = t_max", sde_run("stationary", burn_in=1.0), ValueError,
+         "burn_in must be smaller than t_max"),
+        # both round to step 100, so the tail would be one state
+        ("burn-in rounds to t_max", sde_run("stationary", burn_in=0.999),
+         ValueError, "burn_in must be smaller than t_max"),
+        ("t_max rounds to the start",
+         sde_run("stationary", burn_in=0.0, t_max=0.004), ValueError,
          "burn_in must be smaller than t_max"),
         ("seed2 = seed", sde_run("stationary", seed2=1), ValueError,
          "seed2 must differ from seed"),

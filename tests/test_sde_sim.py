@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lglab import (
     ModelParams,
+    NonFinite,
     PositivityViolation,
     Region,
     comparison_bundle,
@@ -481,6 +482,70 @@ class TestUpperPrey:
         assert n_ext >= 190
 
 
+class Huge:
+    """A generator in place of _component_rng's whose every draw is g."""
+
+    def __init__(self, g):
+        self.g = g
+
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            return np.full(size, self.g)
+        out[...] = self.g
+        return out
+
+
+class TestOverflow:
+    # the predator's draw at step 12 is g, every other draw 0
+    @pytest.mark.parametrize("chunk", [sde_sim._CHUNK, 7, 1])
+    @pytest.mark.parametrize("scheme, g, y0", [
+        (LOG_EULER, 1e5, 0.6),       # math.exp(1000) raises OverflowError
+        (LOG_EULER, 70950.0, 10.0),  # y * exp(709.5) is inf, no error
+        (MILSTEIN, 1e160, 0.6),      # h * g * g is inf, no error
+    ])
+    def test_path_stops_before_the_step(self, monkeypatch, chunk, scheme, g,
+                                        y0):
+        xi2 = np.zeros(20)
+        xi2[11] = g
+        noise = NoisePath(0, 0.01, np.zeros(20), xi2)
+        monkeypatch.setattr(sde_sim, "_CHUNK", chunk)
+        with pytest.raises(NonFinite, match="^non-finite state at step 12$"):
+            simulate_path(STOCH, (0.55, y0), scheme, noise)
+        got = []
+        with pytest.raises(NonFinite):
+            for _, xs, ys in sde_sim._chunks(STOCH, scheme, 0.55, y0, 0.01,
+                                             sde_sim._sliced(noise, 20)):
+                got.append(np.column_stack([xs, ys]))
+        ref = simulate_path(STOCH, (0.55, y0), scheme, noise, t_max=0.11)
+        assert np.concatenate(got).tobytes() == ref.states.tobytes()
+
+    def test_bracket_overflow(self):
+        # y_upper's drift exceeds the system's inside the refuge: its
+        # exponent passes 709 while y's, 693, does not
+        p = ModelParams(a=0.4, b=77000.0, k1=0.08, k2=1.0, m=0.9)
+        noise = make_noise(1, 0.01, 5)
+        with pytest.raises(NonFinite, match="^non-finite bracket at step 1$"):
+            comparison_bundle(p, (0.5, 0.1), noise)
+
+    @pytest.mark.parametrize("scheme, g", [(LOG_EULER, 1e5),
+                                           (MILSTEIN, 1e160)])
+    def test_ensemble_names_the_first_bad_path(self, monkeypatch, scheme, g):
+        real = sde_sim._component_rng
+        monkeypatch.setattr(sde_sim, "_component_rng", lambda seed, c: (
+            Huge(g) if seed in (2, 3) and c == 1 else real(seed, c)))
+        with pytest.raises(NonFinite, match="^non-finite state on path 2$"):
+            ensemble(STOCH, (0.55, 0.6), scheme, n_paths=4, seed0=0,
+                     t_max=0.5, checkpoints=[0.5], h=0.01)
+
+    def test_hitting_names_the_first_bad_path(self, monkeypatch):
+        real = sde_sim._component_rng
+        monkeypatch.setattr(sde_sim, "_component_rng", lambda seed, c: (
+            Huge(1e5) if seed in (2, 3) and c == 1 else real(seed, c)))
+        with pytest.raises(NonFinite, match="^non-finite state on path 2$"):
+            hitting_time(STOCH, LOG_EULER, (0.55, 0.6),
+                         Region(5.0, 6.0, 5.0, 6.0), 4, 0, 0.5)
+
+
 class TestComparison:
     # the orderings hold exactly, also from a start inside the refuge
     # (x0 < m), where the system ties with x_upper and y_lower, and without
@@ -524,12 +589,27 @@ class TestComparison:
         path = whole_list_path(STOCH, (0.55, 0.6), LOG_EULER, noise, t_max)
         assert np.column_stack([b.x, b.y]).tobytes() == path.tobytes()
 
-    @pytest.mark.parametrize("init", [(0.0, 0.6), (0.55, 0.0)])
-    def test_start_on_an_axis_rejected(self, init):
-        noise = make_noise(0, 0.01, 100)
-        with pytest.raises(ValueError,
-                           match="initial state must be strictly positive"):
-            comparison_bundle(STOCH, init, noise)
+    # a start on an axis runs as simulate_path runs it; from (0.55, 0)
+    # x_lower's drift 1 - xl - a*yu/k1 alone, with y_upper at 0, breaks
+    # x_lower <= x by up to 1.8e-15 in about one run in ten
+    @pytest.mark.parametrize("init", [(0.55, 0.0), (0.0, 0.6), (0.0, 0.0)])
+    def test_start_on_an_axis_is_simulate_paths(self, init):
+        sets = [
+            STOCH,
+            ModelParams(a=1.0, b=0.3, k1=0.2, k2=0.1, m=0.0,
+                        sigma1=0.3, sigma2=0.2),
+            ModelParams(a=0.2, b=0.05, k1=0.5, k2=0.4, m=0.05,
+                        sigma1=0.05, sigma2=0.4),
+        ]
+        for p in sets:
+            for seed in range(20):
+                noise = make_noise(seed, 0.01, 2000)
+                b = comparison_bundle(p, init, noise)
+                sp = simulate_path(p, init, LOG_EULER, noise)
+                assert b.x.tobytes() == sp.x.tobytes()
+                assert b.y.tobytes() == sp.y.tobytes()
+                assert (b.x_lower <= b.x).all() and (b.x <= b.x_upper).all()
+                assert (b.y_lower <= b.y).all() and (b.y <= b.y_upper).all()
 
     def test_csv_shape(self):
         noise = make_noise(0, 0.01, 100)
@@ -656,7 +736,7 @@ class TestStationary:
         # then at the first state of the second
         (5.12, 12.0, (0.55, 0.6)),
         (5.13, 12.01, (0.55, 0.6)),
-        (0.0, 0.004, (0.55, 0.6)),  # t_max < h/2: the start alone
+        (0.0, 0.006, (0.55, 0.6)),  # one step: the start, then one state
         (0.0, 3.0, (1.6, 0.6)),     # states over HIST_RANGE overflow
     ])
     def test_matches_whole_path_reference(self, monkeypatch, chunk, scheme,
@@ -716,6 +796,11 @@ class TestStationary:
         (dict(burn_in=-5.0), "burn_in must be >= 0"),
         (dict(bins=0), "bins must be >= 1"),
         (dict(burn_in=float("nan")), "burn_in must be >= 0"),
+        # t_max < h/2 leaves the start alone, and burn-in 9.999 rounds to
+        # t_max's step 1000: a tail of one state, whose L1 distances mean
+        # nothing
+        (dict(burn_in=0.0, t_max=0.004), "burn_in must be smaller than t_max"),
+        (dict(burn_in=9.999), "burn_in must be smaller than t_max"),
     ])
     def test_bad_burn_in_or_bins_rejected(self, kw, match):
         args = dict(burn_in=2.0, t_max=10.0, bins=10, h=0.01) | kw
