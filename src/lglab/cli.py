@@ -13,7 +13,6 @@ simulate.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -67,20 +66,49 @@ def _atomic_write(path: str, write) -> None:
         raise
 
 
-def _jsonable(obj):
+_STR = json.encoder.encode_basestring_ascii
+
+
+def _json(obj, nl: str) -> str:
+    """obj as `json.dumps(obj, indent=2)` writes it at the indent that the
+    newline-and-indent nl starts, with numpy values taken through tolist()
+    and non-finite floats as null.  Keys must be str."""
+    if isinstance(obj, str):
+        return _STR(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):  # np.float64 too: its tolist() is this float
+        return float.__repr__(obj) if math.isfinite(obj) else "null"
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        return ("{" + inner + ("," + inner).join([
+            _STR(k) + ": " + _json(v, inner) for k, v in obj.items()])
+            + nl + "}")
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        return ("[" + inner + ("," + inner).join([_json(v, inner) for v in obj])
+                + nl + "]")
     if hasattr(obj, "tolist"):  # numpy arrays and scalars
-        return _jsonable(obj.tolist())
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    return obj
+        return _json(obj.tolist(), nl)
+    raise TypeError(
+        f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _dump(payload: dict) -> str:
-    return json.dumps(_jsonable(payload), indent=2) + "\n"
+    """An artifact's text: exactly the bytes `json.dumps(payload, indent=2)`
+    writes, plus a newline, with numpy values taken as the Python values
+    their tolist() gives and non-finite floats written as null."""
+    return _json(payload, "\n") + "\n"
 
 
 def _artifact(schema: str, **body) -> dict:
@@ -132,7 +160,7 @@ def analysis_report(p: ModelParams, want_hopf: bool = False) -> dict:
         "analysis-report", params=p.to_dict(),
         trivial_equilibria=[e.to_dict() for e in trivial],
         interior_equilibria=[e.to_dict() for e in an.interior],
-        count=dataclasses.asdict(an.count), index=index,
+        count=an.count.to_dict(), index=index,
         region=qualitative.invariant_region(p).to_dict(),
         qualitative={
             "persistence": qualitative.persistence_report(an).to_dict(),

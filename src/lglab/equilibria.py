@@ -81,6 +81,12 @@ class CountReport:
     tong_product: float | None
     branch: str
 
+    def to_dict(self) -> dict:
+        return {"n_predicted": self.n_predicted,
+                "routh_sign_changes": self.routh_sign_changes,
+                "tong_delta": self.tong_delta,
+                "tong_product": self.tong_product, "branch": self.branch}
+
 
 @dataclass(frozen=True)
 class Equilibrium:
@@ -207,7 +213,9 @@ def find_interior_equilibria(p: ModelParams) -> list[Equilibrium]:
     of zero is the only root, with multiplicity 3; otherwise, while fewer
     roots than predicted are found, the critical point with the smallest
     |R| is a tangency, with multiplicity 2.  Results are sorted by x and
-    already passed through classify.
+    already passed through classify.  Raises NumericalFailure when fewer
+    roots are found than the count predicts, as where rounding cancels the
+    sign change at 1-m (k1 near 1e20) or alpha0 underflows (k1 near 5e-324).
     """
     count = count_interior_equilibria(p)
     c = cubic_coefficients(p)
@@ -234,6 +242,10 @@ def find_interior_equilibria(p: ModelParams) -> list[Equilibrium]:
         critical.sort(key=lambda pt: abs(pt[1]))
         roots += [(X, 2) for X, _ in critical[:count.n_predicted - len(roots)]]
         roots.sort()
+    if len(roots) < count.n_predicted:
+        raise NumericalFailure(
+            f"found {len(roots)} interior equilibria where the count "
+            f"predicts {count.n_predicted}")
 
     out = []
     for X, mult in roots:

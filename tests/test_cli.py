@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import lglab
 from lglab import ModelParams, cli, equilibria, ode_sim, qualitative
@@ -276,6 +278,7 @@ class TestOde:
             "--out", str(tmp_path / "t.csv")])
         assert code == 0
         rep = json.loads(out.out)
+        jsonschema.validate(rep, load_schema("cycle_v1.json"))
         assert rep["found"] is True and rep["stable"] is True
         assert rep["period"] == pytest.approx(62.7, abs=0.5)
 
@@ -314,6 +317,7 @@ class TestOde:
                                  "10", "--detect-cycle", "--out", str(dest)])
         assert code == 0, out.err
         rep = json.loads(out.out)
+        jsonschema.validate(rep, load_schema("cycle_v1.json"))
         assert rep["schema"] == "lglab/cycle"
         assert rep["found"] is False
         assert re.fullmatch(r"only [0-4] section crossings after burn-in",
@@ -662,6 +666,68 @@ def test_non_finite_numpy_scalars_dump_as_null():
     assert json.loads(text, parse_constant=refuse) == {"a": None, "b": [None]}
 
 
+def reference_dump(payload):
+    """The two-pass encoder `_dump` replaced, whose bytes it keeps: a copy of
+    the payload with numpy values as Python values and non-finite floats as
+    None, through json.dumps(indent=2)."""
+    def jsonable(obj):
+        if isinstance(obj, dict):
+            return {k: jsonable(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [jsonable(v) for v in obj]
+        if hasattr(obj, "tolist"):  # numpy arrays and scalars
+            return jsonable(obj.tolist())
+        if isinstance(obj, float) and not math.isfinite(obj):
+            return None
+        return obj
+
+    return json.dumps(jsonable(payload), indent=2) + "\n"
+
+
+EDGE_TEXT = st.sampled_from(["", "plain", "café σ₁", '"q"',
+                             "back\\slash", "\x00\x1f\t\n\r\x7f",
+                             "\u2028", "\U0001f600", "\ud800"])
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e-300,
+                               1.7976931348623157e308, 0.1, 1e16, 1e22,
+                               math.inf, -math.inf, math.nan])
+JSON_TEXT = st.text() | EDGE_TEXT
+FLOATS = st.floats() | EDGE_FLOATS
+NUMPY_SCALARS = (FLOATS.map(np.float64) | st.floats(width=32).map(np.float32)
+                 | st.integers(-2**63, 2**63 - 1).map(np.int64)
+                 | st.booleans().map(np.bool_))
+NUMPY_ARRAYS = st.sampled_from([np.float64, np.float32, np.int64, np.bool_]) \
+    .flatmap(lambda dtype: hnp.arrays(dtype, hnp.array_shapes(
+        min_dims=0, max_dims=2, min_side=0, max_side=3)))
+LEAVES = (st.none() | st.booleans() | st.integers()
+          | st.integers(2**63, 2**200) | st.integers(-2**200, -2**63)
+          | FLOATS | JSON_TEXT | NUMPY_SCALARS | NUMPY_ARRAYS)
+PAYLOADS = st.recursive(
+    LEAVES,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(JSON_TEXT, inner, max_size=4)),
+    max_leaves=24)
+
+
+class TestDump:
+    @settings(max_examples=500, deadline=None)
+    @given(st.dictionaries(JSON_TEXT, PAYLOADS, max_size=6))
+    @example({"": {}, "l": [], "t": (), "n": [None, True, False],
+              "big": [2**63, -2**64 - 1], "f": [0.0, -0.0, 5e-324, math.nan],
+              "np": [np.float32(0.1), np.float64(-math.inf), np.int64(-7),
+                     np.bool_(True), np.zeros((2, 2)), np.array([], float)],
+              "\"\\\x00é": {"nested": [(1, {"a": ()})]}})
+    def test_bytes_of_the_two_pass_encoder(self, payload):
+        assert _dump(payload) == reference_dump(payload)
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", 1j])
+    def test_other_types_refused(self, value):
+        with pytest.raises(TypeError):
+            reference_dump({"a": [value]})
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            _dump({"a": [value]})
+
+
 class TestParser:
     # every flag's dest and default, each subcommand parsing a fixed argv
     MODEL = dict(a=0.5, b=0.1, k1=0.08, k2=0.2, m=None, sigma1=None,
@@ -866,6 +932,22 @@ NOISE_SQUARES = ("the squared noise intensities are not finite: "
 ])
 def test_overflow_is_exit_1(capsys, argv, message):
     assert_one_error(*run(capsys, argv), message)
+
+
+# the finder loses the one interior equilibrium the count predicts: each
+# wrote a report short of it (exit 2, `index sum mismatch`), and the last
+# exited 1 with Python's `not enough values to unpack`
+@pytest.mark.parametrize("k1, m", [("1e20", "0.0025"), ("1e103", "0.0025"),
+                                   ("1.3e154", "0.0025"),
+                                   ("5e-324", "0.0025"), ("1e103", "0")])
+def test_short_root_set_is_exit_1(capsys, tmp_path, k1, m):
+    dest = tmp_path / "report.json"
+    argv = ["analyze", "--a", "0.5", "--b", "0.1", "--k2", "0.2",
+            "--k1", k1, "--m", m]
+    for out in (["--out", str(dest)], []):
+        assert_one_error(*run(capsys, [*argv, *out]), "found 0 interior "
+                         "equilibria where the count predicts 1")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])

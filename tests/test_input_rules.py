@@ -82,6 +82,9 @@ BIG_K1_E = Equilibrium(1.0, 1.1975)
 PARTIALS = ("the field's partials are not finite at (1.0, 1.1975): "
             "k1 + x - m = 1e+78, k2 + x - m = 1.1975")
 RESIDUAL = re.compile(r"field residual \(\S+, \S+\) at \(\S+, \S+\)")
+# the count predicts one interior equilibrium, but R(1 - m) rounds to 0
+SHORT = ModelParams(a=0.5, b=0.1, k1=1e20, k2=0.2, m=0.0025)
+SHORT_ROOTS = "found 0 interior equilibria where the count predicts 1"
 
 
 def sde_run(which, **kw):
@@ -256,6 +259,8 @@ REFUSALS = {
          re.compile(r"the equilibrium cubic is not finite: .*")),
         ("partials overflow", lambda: find_interior_equilibria(BIG_K1),
          NumericalFailure, PARTIALS),
+        ("short root set", lambda: find_interior_equilibria(SHORT),
+         NumericalFailure, SHORT_ROOTS),
     ],
     "analyze": [
         ("cubic overflows",
@@ -264,6 +269,8 @@ REFUSALS = {
          re.compile(r"the equilibrium cubic is not finite: .*")),
         ("partials overflow", lambda: analyze(BIG_K1), NumericalFailure,
          PARTIALS),
+        ("short root set", lambda: analyze(SHORT), NumericalFailure,
+         SHORT_ROOTS),
     ],
     "classify": [
         ("off the equilibrium",
