@@ -200,7 +200,9 @@ def cmd_ode(args) -> int:
     _atomic_write(args.out, lambda f: ode_sim.write_csv(traj, f))
     if args.detect_cycle:
         if scheme != ode_sim.RK4:
-            # detection always runs on the RK4 trajectory
+            # detection always runs on the RK4 trajectory; the Euler one
+            # is let go before it is built
+            del traj
             traj = ode_sim.integrate(p, (args.x0, args.y0), scheme=ode_sim.RK4,
                                      h=args.h, t_max=t_max)
         try:
@@ -268,6 +270,7 @@ def cmd_sde(args) -> int:
         else:
             path = sde_sim.simulate_path(p, start, scheme, noise,
                                          shared_noise=args.shared_noise)
+        del noise  # the CSV reads the path alone
         _atomic_write(args.out, lambda f: sde_sim.write_path_csv(path, f))
         return 0
     if args.mode == "ensemble":

@@ -42,6 +42,14 @@ def _const(v) -> np.ndarray:
 _ZERO, _ONE, _TWO = _const(0.0), _const(1.0), _const(2.0)
 
 
+def _grid_times(n: int, h: float) -> np.ndarray:
+    """The grid times k*h for k = 0..n: the bits of np.arange(n + 1) * h,
+    since every k is exact in float64, without its int64 temporary."""
+    times = np.arange(n + 1, dtype=float)
+    times *= h
+    return times
+
+
 # _write_rows' tables.  A slot word is built from bytes, so the byte order
 # of the machine does not matter.
 _SPLIT = 134217729.0  # 2**27 + 1
@@ -232,8 +240,8 @@ def integrate(p: ModelParams, init, scheme: str = RK4, h: float = 1e-3,
             ys.append(y)
         states[lo:lo + len(xs), 0] = xs
         states[lo:lo + len(xs), 1] = ys
-    times = np.arange(n + 1) * h
-    return Trajectory(times=times, states=states, scheme=scheme, h=h)
+    return Trajectory(times=_grid_times(n, h), states=states, scheme=scheme,
+                      h=h)
 
 
 def integrate_batch(a, b, k1, k2, m, init, h: float, n_steps: int,
@@ -345,14 +353,16 @@ def detect_limit_cycle(p: ModelParams, traj: Trajectory,
     reported when at least 5 consecutive returns after t_burn agree on the
     period within 1% and the x peak-to-peak extent exceeds 1e-4; stability
     comes from the trend of log-gaps between successive return points.
+    Only the grid points from the first at or after t_burn are read, so
+    the work arrays scale with that tail, not the whole trajectory.
     """
     _check_burn_in(t_burn)
-    x, y, t, h = traj.x, traj.y, traj.times, traj.h
+    start = int(np.searchsorted(traj.times, t_burn))  # times ascend
+    x, y, t, h = traj.x[start:], traj.y[start:], traj.times[start:], traj.h
     g = y - (p.k2 + x - p.m)
     # sign change of g with x increasing: section crossing between k and k+1
     dx = np.diff(x)
-    cross = (g[:-1] > 0.0) & (g[1:] <= 0.0) & (dx > 0.0)
-    idx = np.nonzero(cross & (t[:-1] >= t_burn))[0]
+    idx = np.nonzero((g[:-1] > 0.0) & (g[1:] <= 0.0) & (dx > 0.0))[0]
     if len(idx) < 5:
         raise Inconclusive(f"only {len(idx)} section crossings after burn-in")
 

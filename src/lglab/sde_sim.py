@@ -30,12 +30,14 @@ from .errors import NonFinite, PositivityViolation
 from .model import (ModelParams, _check_burn_in, _check_counts, _check_h,
                     _check_run, _field_scalar, _horizon)
 from .ode_sim import (_CHUNK, _ONE, Trajectory, _const, _field_batch,
-                      _write_rows)
+                      _grid_times, _write_rows)
 from .qualitative import STATIONARY, Region, stochastic_regime
 
 MILSTEIN = "Milstein"
 LOG_EULER = "LogEuler"
 _SCHEMES = (MILSTEIN, LOG_EULER)
+
+_BLOCK = 64  # ensemble paths whose chunk of noise is drawn at a time
 
 EXTINCTION_THRESHOLD = 1e-3
 HIST_RANGE = 1.5  # histogram domain [0, 1.5]^2 plus overflow
@@ -148,8 +150,8 @@ def simulate_path(p: ModelParams, init, scheme: str, noise: NoisePath,
                              _sliced(noise, n, shared_noise)):
         states[k:k + len(xs), 0] = xs
         states[k:k + len(xs), 1] = ys
-    times = np.arange(n + 1) * h
-    return Trajectory(times=times, states=states, scheme=scheme, h=h)
+    return Trajectory(times=_grid_times(n, h), states=states, scheme=scheme,
+                      h=h)
 
 
 def _sliced(noise: NoisePath, n: int, shared_noise: bool = False):
@@ -265,7 +267,7 @@ def explicit_upper_prey(sigma1: float, x0: float, noise: NoisePath,
             f"sigma1 ** 2 is not finite: sigma1={sigma1}") from None
     h = noise.h
     n = _horizon(h, t_max, noise.n_steps)
-    t = np.arange(n + 1) * h
+    t = _grid_times(n, h)
     w = np.concatenate([[0.0], math.sqrt(h) * np.cumsum(noise.xi1[:n])])
     phi = np.exp(rate * t + sigma1 * w)
     integral = np.concatenate([[0.0], np.cumsum(0.5 * h * (phi[:-1] + phi[1:]))])
@@ -359,8 +361,12 @@ def ensemble(p: ModelParams, init, scheme: str, n_paths: int, seed0: int,
     histogram pools every path's states at the multiples of 100 steps from
     the burn-in on (a burn_in that leaves none is refused), and the
     extinction fractions are read off the last state.  Noise is drawn
-    _CHUNK steps at a time into buffers allocated once, so memory is
-    bounded by the chunk, not the horizon.  Checkpoints must be distinct
+    _CHUNK steps at a time, so memory is bounded by the chunk, not the
+    horizon: each block of _BLOCK paths draws its chunk into one block of
+    rows, path by path on its own generators, and the scaled draws go
+    straight into the step buffer.  That is 8 KB of noise per path
+    (_CHUNK steps of two components) plus one 64-row block of 256 KB,
+    both allocated once.  Checkpoints must be distinct
     grid times in [0, t_max]: a checkpoint t is refused unless t/h lies
     within a relative 1e-9 of an integer, so no moments are reported under
     a time they were not taken at.  Milstein raises PositivityViolation
@@ -402,8 +408,8 @@ def ensemble(p: ModelParams, init, scheme: str, n_paths: int, seed0: int,
     gens = [[_component_rng(seed0 + i, c) for i in range(n_paths)]
             for c in (0, 1)]
     chunk = min(_CHUNK, n)
-    raw = np.empty((n_paths, chunk))        # one generator per row
     noise = np.empty((chunk, 2, n_paths))   # scaled increments by step
+    block = np.empty((min(_BLOCK, n_paths), chunk))  # one generator per row
     v = np.empty((2, n_paths))
     work = np.empty((2, n_paths))
     vr, wr = (v[0], v[1]), (work[0], work[1])  # rows indexed once
@@ -430,18 +436,21 @@ def ensemble(p: ModelParams, init, scheme: str, n_paths: int, seed0: int,
         if j == 0:
             span = min(_CHUNK, n - step)
             for c in (0, 1):
-                for row, g in zip(raw, gens[c]):
-                    g.standard_normal(out=row[:span])
-                e = np.multiply(raw[:, :span].T, scale[c],
-                                out=noise[:span, c])
-                if scheme == MILSTEIN:
-                    # a Milstein step is z + v*h + z*(e + (e^2/2 - d*h)):
-                    # fold the bracket into the noise once per chunk
-                    tmp = raw.reshape(-1)[:e.size].reshape(e.shape)
-                    np.multiply(e, e, out=tmp)
-                    np.multiply(tmp, 0.5, out=tmp)
-                    np.subtract(tmp, d[c, 0] * h, out=tmp)
-                    np.add(e, tmp, out=e)
+                for lo in range(0, n_paths, _BLOCK):
+                    rows = block[:min(_BLOCK, n_paths - lo)]
+                    for row, g in zip(rows, gens[c][lo:lo + _BLOCK]):
+                        g.standard_normal(out=row[:span])
+                    e = np.multiply(rows[:, :span].T, scale[c],
+                                    out=noise[:span, c, lo:lo + len(rows)])
+                    if scheme == MILSTEIN:
+                        # a Milstein step is z + v*h + z*(e + (e^2/2 - d*h)):
+                        # fold the bracket into the noise once per chunk,
+                        # with the block's rows as scratch
+                        tmp = rows.reshape(-1)[:e.size].reshape(e.shape)
+                        np.multiply(e, e, out=tmp)
+                        np.multiply(tmp, 0.5, out=tmp)
+                        np.subtract(tmp, d[c, 0] * h, out=tmp)
+                        np.add(e, tmp, out=e)
         _field_batch(*params, z[0], z[1], out=vr, work=wr)
         if scheme == MILSTEIN:
             zn = np.multiply(z, noise[j])

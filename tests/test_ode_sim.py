@@ -1,3 +1,4 @@
+import contextlib
 import io
 import math
 
@@ -123,12 +124,32 @@ class TestIntegrate:
     def test_memory_bounded_by_the_output(self):
         # whole Python lists of the states peaked at 9.2 MB over these
         # 100,000 steps, for 2.4 MB of states and times (18.4 MB for 4.8 MB
-        # at 200,000 RK4 steps); Euler keeps the traced run short
+        # at 200,000 RK4 steps), and np.arange(n + 1) * h added its int64
+        # temporary, 0.8 MB; Euler keeps the traced run short
         traced_peak(integrate, STOCH_FIG, (0.55, 0.6), EULER, h=0.01,
                     t_max=0.1)  # one-off allocations
         peak, traj = traced_peak(integrate, STOCH_FIG, (0.55, 0.6), EULER,
                                  h=0.01, t_max=1000.0)
-        assert peak - (traj.states.nbytes + traj.times.nbytes) < 2 * 2 ** 20
+        assert peak - (traj.states.nbytes + traj.times.nbytes) < 2 ** 18
+
+    @pytest.mark.parametrize("scheme", ["rk4", "euler"])
+    def test_cli_detect_cycle_memory_per_step(self, tmp_path, scheme):
+        # `ode --detect-cycle` holds one trajectory, 24 B a step, and the
+        # detection's work arrays over the tail after the burn-in (half the
+        # run here), about 20 B a tail step.  Over these 100,000 steps it
+        # peaked at 43.2 (rk4) and 56.9 (euler) B a step while the
+        # detection read the whole trajectory and euler kept its own
+        # trajectory through the RK4 pass
+        from lglab.cli import main
+        argv = ["ode", "--a", "0.4", "--b", "0.1", "--k1", "0.08",
+                "--k2", "0.2", "--m", "0.0025", "--h", "0.01",
+                "--scheme", scheme, "--detect-cycle",
+                "--out", str(tmp_path / "ode.csv")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--t-max", "1"]) == 0  # one-off allocations
+            peak, rc = traced_peak(main, [*argv, "--t-max", "1000"])
+        assert rc == 0
+        assert peak < 38 * 100_000
 
     def test_rk4_self_convergence_order(self):
         p = ModelParams(a=0.5, b=0.1, k1=0.08, k2=0.2, m=0.0025)

@@ -422,13 +422,14 @@ class TestPath:
 
     def test_memory_bounded_by_the_output(self):
         # the whole-list loop peaked at 32 MB over these 200,000 steps, for
-        # 4.8 MB of states and times
+        # 4.8 MB of states and times, and np.arange(n + 1) * h added its
+        # int64 temporary, 1.6 MB
         noise = make_noise(3, 0.01, 200_000)
         traced_peak(simulate_path, STOCH, (0.55, 0.6), LOG_EULER,
                     make_noise(3, 0.01, 10))  # one-off allocations
         peak, sp = traced_peak(simulate_path, STOCH, (0.55, 0.6), LOG_EULER,
                                noise)
-        assert peak - (sp.states.nbytes + sp.times.nbytes) < 2 * 2 ** 20
+        assert peak - (sp.states.nbytes + sp.times.nbytes) < 2 ** 18
 
 
     @pytest.mark.parametrize("flags", [
@@ -698,6 +699,21 @@ class TestEnsemble:
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.variance, b.variance)
 
+    @pytest.mark.parametrize("scheme", [LOG_EULER, MILSTEIN])
+    def test_noise_memory_is_the_step_buffer_and_one_block(self, scheme):
+        # 1100 steps cross the chunk edges at 512 and 1024.  The step
+        # buffer holds 2 x 256 x _CHUNK doubles, 2 MiB; the rest is one
+        # 64-row draw block (256 KiB), 512 generators and small arrays,
+        # about 0.85 MiB.  A (n_paths, _CHUNK) draw buffer beside the step
+        # buffer peaked 1.6 MiB above it
+        n_paths = 256
+        ensemble(STOCH, (0.55, 0.6), scheme, n_paths=2, seed0=0, t_max=0.1,
+                 checkpoints=[], h=0.01)  # one-off allocations
+        peak, _ = traced_peak(ensemble, STOCH, (0.55, 0.6), scheme,
+                              n_paths=n_paths, seed0=0, t_max=11.0,
+                              checkpoints=[5.12, 11.0], h=0.01)
+        assert peak < 2 * n_paths * sde_sim._CHUNK * 8 + 1.25 * 2 ** 20
+
     def test_extinction_fraction_large_noise(self):
         p = ModelParams(a=0.4, b=0.1, k1=0.08, k2=0.2, m=0.0025,
                         sigma1=2.0, sigma2=0.1)
@@ -933,6 +949,16 @@ class TestHitting:
         assert rep.times.tolist() == [1 * h, 4 * h]
 
 
+def assert_same_stats(a, b):
+    """Two EnsembleStats agree bit for bit."""
+    assert np.array_equal(a.mean, b.mean)
+    assert np.array_equal(a.variance, b.variance)
+    assert np.array_equal(a.hist_counts, b.hist_counts)
+    assert a.hist_overflow == b.hist_overflow
+    assert a.extinction_fraction_x == b.extinction_fraction_x
+    assert a.extinction_fraction_y == b.extinction_fraction_y
+
+
 class TestLockstepKernel:
     """Contracts of the fused lockstep kernel of ensemble and of the
     chunked per-path stepping behind hitting_time."""
@@ -958,14 +984,36 @@ class TestLockstepKernel:
         monkeypatch.setattr(sde_sim, "_CHUNK", chunk)
         ens_b, hits_b = run()
         for a, b in zip(ens_a, ens_b):
-            assert np.array_equal(a.mean, b.mean)
-            assert np.array_equal(a.variance, b.variance)
-            assert np.array_equal(a.hist_counts, b.hist_counts)
-            assert a.hist_overflow == b.hist_overflow
-            assert a.extinction_fraction_x == b.extinction_fraction_x
-            assert a.extinction_fraction_y == b.extinction_fraction_y
+            assert_same_stats(a, b)
         for a, b in zip(hits_a, hits_b):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("block", [1, 7, 130])
+    def test_block_size_invariance(self, monkeypatch, block):
+        # 130 paths are two blocks of 64 and one of 2 at the default, one
+        # block of every path at 130; 1100 steps cross the chunk edges at
+        # 512 and 1024.  Every path must see the same draws whatever the
+        # block, and the loud Milstein run must name the same lost path,
+        # one in the second block of 64
+        p = replace(STOCH, sigma1=0.5, sigma2=0.5)
+        loud = replace(STOCH, sigma2=1.6)
+
+        def run():
+            ens = [ensemble(p, (0.55, 0.6), scheme, n_paths=130, seed0=3,
+                            t_max=11.0, checkpoints=[5.12, 11.0], h=0.01,
+                            burn_in=1.0, bins=10)
+                   for scheme in (LOG_EULER, MILSTEIN)]
+            with pytest.raises(PositivityViolation) as exc:
+                ensemble(loud, (0.55, 0.6), MILSTEIN, n_paths=130, seed0=9,
+                         t_max=20.0, checkpoints=[], h=0.2)
+            return ens, str(exc.value)
+
+        ens_a, lost_a = run()
+        monkeypatch.setattr(sde_sim, "_BLOCK", block)
+        ens_b, lost_b = run()
+        for a, b in zip(ens_a, ens_b):
+            assert_same_stats(a, b)
+        assert lost_a == lost_b == "positivity lost on path 102"
 
     @pytest.mark.parametrize("scheme", [LOG_EULER, MILSTEIN])
     @pytest.mark.parametrize("axis, init", [(0, (0.0, 0.6)), (1, (0.55, 0.0))])
