@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import NonFinite, PositivityViolation
 from .model import (ModelParams, _check_burn_in, _check_counts, _check_h,
@@ -115,9 +116,111 @@ class HittingReport:
     fraction_censored: float
 
 
-def _component_rng(seed: int, component: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(component,))
-    return np.random.Generator(np.random.PCG64(ss))
+class _SeedWords(ISeedSequence):
+    """The four uint64 words one PCG64 is seeded from, handed over as a
+    SeedSequence would hand them."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _chain(init: int, mult: int, n: int) -> list[int]:
+    """init * mult**k mod 2**32 for k = 0 .. n, in Python ints, so that no
+    numpy scalar overflows."""
+    chain = [init]
+    for _ in range(n):
+        chain.append(chain[-1] * mult & 0xFFFFFFFF)
+    return chain
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of
+# four uint32 words, the multipliers of its pool mix (A, a chain as long
+# as the entropy needs) and of its output (B, a chain of eight steps), and
+# those of its word mix
+_POOL = 4
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_CHAIN_B = np.array(_chain(0x8b51f9dd, 0x58f38ded, 2 * _POOL), np.uint32)
+_MIX_L, _MIX_R = 0xca01f9dd, 0x4973f715
+
+
+def _hashmix(v: np.ndarray, chain) -> np.ndarray:
+    """numpy's hashmix of the words v, on the next step of the A chain."""
+    c, c_next = next(chain)
+    v = (v ^ c) * c_next
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ (r >> 16)
+
+
+def _seed_words(seeds) -> np.ndarray:
+    """The four uint64 words PCG64 is seeded from, for each seed and each
+    of its components c = 0, 1: a (len(seeds), 2, 4) array.
+
+    They are the words that a SeedSequence of entropy s and spawn_key (c,)
+    hands PCG64, derived for every (seed, component) pair at once by
+    numpy's hash on uint32 arrays, one row per entropy word and one column
+    per pair: the pool mix runs row by row, and the eight output words come
+    from one array operation.  seeds are non-negative integers, Python or
+    numpy; they are read as Python ints.
+    """
+    seeds = [int(s) for s in seeds]
+    # a seed of L 32-bit words (one for 0) is max(L, _POOL) words of
+    # entropy, zero-padded, then the spawn key c: numpy pads a short seed
+    # when a spawn key follows it
+    lens = np.array([max(_POOL, -(-s.bit_length() // 32)) for s in seeds])
+    width = int(lens.max())
+    raw = np.frombuffer(b"".join(s.to_bytes(4 * width, "little")
+                                 for s in seeds),
+                        dtype="<u4").reshape(len(seeds), width)
+    words = np.empty((len(seeds), 2, 4), dtype=np.uint64)
+    for e in sorted(set(lens.tolist())):  # np.unique would import numpy.ma
+        rows = np.flatnonzero(lens == e)
+        # column 2i + c is (the i-th seed of this length, component c)
+        entropy = np.empty((e + 1, 2 * len(rows)), dtype=np.uint32)
+        entropy[:e] = raw[rows, :e].T.repeat(2, axis=1)
+        entropy[e] = np.tile(np.array([0, 1], dtype=np.uint32), len(rows))
+        a = _chain(_INIT_A, _MULT_A, 4 * e + 4)  # one step per hashmix
+        chain = zip(a, a[1:])
+        pool = [_hashmix(entropy[i], chain) for i in range(_POOL)]
+        for src in range(_POOL):
+            for dst in range(_POOL):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], chain))
+        for src in range(_POOL, e + 1):
+            for dst in range(_POOL):
+                pool[dst] = _mix(pool[dst], _hashmix(entropy[src], chain))
+        out = np.stack(pool * 2)  # output word k reads pool word k % 4
+        out ^= _CHAIN_B[:-1, None]
+        out *= _CHAIN_B[1:, None]
+        out ^= out >> 16
+        # each little-endian pair of uint32 words is one uint64 word
+        w = out[0::2].astype(np.uint64) | out[1::2].astype(np.uint64) << 32
+        words[rows] = w.T.reshape(len(rows), 2, 4)
+    return words
+
+
+def _streams(seeds):
+    """Yield, seed by seed, the generators of its components 0 and 1.
+
+    Every generator of this module is built here.  Component c of seed s
+    is numpy's Generator on the PCG64 that a SeedSequence of entropy s and
+    spawn_key (c,) seeds, bit for bit, so a run can be rebuilt with numpy
+    alone.  The seed words of the whole run are derived up front in one
+    pass (_seed_words), 32 B a generator, and each pair goes to PCG64
+    through numpy's public ISeedSequence; a seed's two generators are
+    built only when the iteration reaches it.
+    """
+    for pair in _seed_words(seeds):
+        yield tuple(np.random.Generator(np.random.PCG64(_SeedWords(w)))
+                    for w in pair)
 
 
 def make_noise(seed: int, h: float, n_steps: int) -> NoisePath:
@@ -127,8 +230,9 @@ def make_noise(seed: int, h: float, n_steps: int) -> NoisePath:
     _check_h(h)
     if not n_steps >= 0:
         raise ValueError("horizon must be >= 0")
-    xi1 = _component_rng(seed, 0).standard_normal(n_steps)
-    xi2 = _component_rng(seed, 1).standard_normal(n_steps)
+    gen1, gen2 = next(_streams([seed]))
+    xi1 = gen1.standard_normal(n_steps)
+    xi2 = gen2.standard_normal(n_steps)
     return NoisePath(seed=seed, h=h, xi1=xi1, xi2=xi2)
 
 
@@ -163,10 +267,11 @@ def _sliced(noise: NoisePath, n: int, shared_noise: bool = False):
         yield (g2s if shared_noise else noise.xi1[lo:hi].tolist()), g2s
 
 
-def _drawn(seed: int, n: int):
-    """make_noise(seed, h, n)'s increments as _chunks takes them, drawn
-    _CHUNK steps at a time, so only one chunk of them is ever held."""
-    gen1, gen2 = _component_rng(seed, 0), _component_rng(seed, 1)
+def _drawn(gens, n: int):
+    """n increments from each of a seed's two generators gens, make_noise's
+    increments, as _chunks takes them: drawn _CHUNK steps at a time, so
+    only one chunk of them is ever held."""
+    gen1, gen2 = gens
     for lo in range(0, n, _CHUNK):
         span = min(_CHUNK, n - lo)
         yield (gen1.standard_normal(span).tolist(),
@@ -405,8 +510,9 @@ def ensemble(p: ModelParams, init, scheme: str, n_paths: int, seed0: int,
     sqh = math.sqrt(h)
     scale = (p.sigma1 * sqh, p.sigma2 * sqh)
     d = np.array([[0.5 * p.sigma1 * p.sigma1], [0.5 * p.sigma2 * p.sigma2]])
-    gens = [[_component_rng(seed0 + i, c) for i in range(n_paths)]
-            for c in (0, 1)]
+    seed0 = int(seed0)
+    # gens[c][i] is path i's generator of component c
+    gens = list(zip(*_streams(range(seed0, seed0 + int(n_paths)))))
     chunk = min(_CHUNK, n)
     noise = np.empty((chunk, 2, n_paths))   # scaled increments by step
     block = np.empty((min(_BLOCK, n_paths), chunk))  # one generator per row
@@ -511,8 +617,9 @@ def stationary_histogram(p: ModelParams, scheme: str, seed: int,
     """
     _check_counts(least=1, bins=bins)
     _check_counts(least=0, seed=seed)
-    seed2 = seed + 1 if seed2 is None else seed2
+    seed2 = int(seed) + 1 if seed2 is None else seed2
     _check_counts(least=0, seed2=seed2)
+    seed, seed2 = int(seed), int(seed2)
     x0, y0, n = _check_run(scheme, _SCHEMES, init, h, t_max)
     _check_burn_in(burn_in)
     # in grid steps, so that a tail holds a state past the burn-in; the
@@ -529,10 +636,11 @@ def stationary_histogram(p: ModelParams, scheme: str, seed: int,
     # [counts, overflow] of the first half, the second half and the other
     # seed's tail, each over the steps [lo, hi) between two of its edges
     hists = []
-    for s, edges in ((seed, (first, split, n + 1)), (seed2, (first, n + 1))):
+    for gens, edges in zip(_streams((seed, seed2)),
+                           ((first, split, n + 1), (first, n + 1))):
         parts = [[np.zeros((bins, bins), dtype=np.int64), 0]
                  for _ in edges[1:]]
-        for k, xs, ys in _chunks(p, scheme, x0, y0, h, _drawn(s, n)):
+        for k, xs, ys in _chunks(p, scheme, x0, y0, h, _drawn(gens, n)):
             for part, lo, hi in zip(parts, edges, edges[1:]):
                 lo, hi = max(lo - k, 0), min(hi - k, len(xs))
                 if lo < hi:
@@ -573,11 +681,11 @@ def hitting_time(p: ModelParams, scheme: str, init, target: Region,
     n = math.floor(t_cap / h * (1 + 1e-12))
     entries = []  # each path's entry step, None if it never enters
     lost = []  # (Milstein step lost, path) of each path lost before entry
-    for i in range(n_paths):
+    seed0 = int(seed0)
+    for i, gens in enumerate(_streams(range(seed0, seed0 + int(n_paths)))):
         entry = None
         try:
-            for k, xs, ys in _chunks(p, scheme, x0, y0, h,
-                                     _drawn(seed0 + i, n)):
+            for k, xs, ys in _chunks(p, scheme, x0, y0, h, _drawn(gens, n)):
                 inside = target.contains(xs, ys)
                 if inside.any():
                     entry = k + int(inside.argmax())

@@ -225,6 +225,106 @@ class TestNoise:
             NoisePath(seed=0, h=0.01, xi1=xi1, xi2=xi2)
 
 
+def numpy_streams(seed):
+    """The generators of seed's components 0 and 1, as numpy builds them."""
+    return [np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        entropy=seed, spawn_key=(c,)))) for c in (0, 1)]
+
+
+# around each word-count edge of a seed: 2**128 and above is more than
+# four 32-bit words of entropy
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1, 2**128,
+         2**200 + 12345]
+NUMPY_EDGE = [np.uint64(2**64 - 1), np.int64(2**63 - 1)]
+
+
+class TestSeeding:
+    """_streams seeds each generator from its own copy of numpy's
+    SeedSequence hash; these tests hold it to numpy's."""
+
+    @staticmethod
+    def assert_numpy_states(seeds):
+        got = list(sde_sim._streams(seeds))
+        assert len(got) == len(seeds)
+        for pair, seed in zip(got, seeds):
+            want = numpy_streams(int(seed))
+            for g, w in zip(pair, want):
+                assert g.bit_generator.state == w.bit_generator.state
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 65, 256])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_states_are_numpys(self, seed, n):
+        self.assert_numpy_states(range(seed, seed + n))
+        for kind in (np.int64, np.uint64):
+            fits = [kind(s) for s in range(seed, seed + n)
+                    if s <= np.iinfo(kind).max]
+            if fits:
+                self.assert_numpy_states(fits)
+
+    def test_seeds_of_every_length_in_one_run(self):
+        self.assert_numpy_states(SEEDS[::-1] + SEEDS)
+
+    @given(seed=st.integers(0, 2**256 - 1), n=st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_drawn_seeds_match_numpy(self, seed, n):
+        self.assert_numpy_states(range(seed, seed + n))
+
+    @pytest.mark.parametrize("seed", [0, 2**64, 2**200 + 12345])
+    def test_noise_is_numpys_recipe(self, seed):
+        noise = make_noise(seed, 0.01, 1000)
+        g1, g2 = numpy_streams(seed)
+        assert noise.xi1.tobytes() == g1.standard_normal(1000).tobytes()
+        assert noise.xi2.tobytes() == g2.standard_normal(1000).tobytes()
+
+    # seed0 + i and seed + 1 lie past the numpy type of these seeds, so
+    # they must be taken in Python ints
+    @pytest.mark.parametrize("seed", NUMPY_EDGE)
+    def test_ensemble_numpy_seed0(self, seed):
+        run = lambda s, n: ensemble(STOCH, (0.55, 0.6), LOG_EULER, n_paths=n,
+                                    seed0=s, t_max=1.0, checkpoints=[1.0])
+        assert_same_stats(run(seed, np.int64(2)), run(int(seed), 2))
+
+    @pytest.mark.parametrize("seed", NUMPY_EDGE)
+    def test_hitting_numpy_seed0(self, seed):
+        # x leaves (0.549, ...) at a step that depends on the noise
+        run = lambda s, n: hitting_time(
+            STOCH, LOG_EULER, (0.55, 0.6), Region(0.0, 0.549, 0.0, 10.0),
+            n_paths=n, seed0=s, t_cap=1.0).times
+        got, want = run(seed, np.int64(2)), run(int(seed), 2)
+        assert got.tobytes() == want.tobytes()
+        assert len(set(want.tolist())) == 2
+
+    @pytest.mark.parametrize("seed", NUMPY_EDGE)
+    def test_stationary_numpy_seed(self, seed):
+        run = lambda s: stationary_histogram(STOCH, LOG_EULER, s, burn_in=1.0,
+                                             t_max=5.0, bins=10, h=0.01)
+        got, want = run(seed), run(int(seed))
+        assert np.array_equal(got.counts, want.counts)
+        assert (got.l1_half_vs_half, got.l1_cross_seed) == (
+            want.l1_half_vs_half, want.l1_cross_seed)
+
+    def test_hitting_builds_a_paths_generators_as_it_steps_it(
+            self, monkeypatch):
+        # each PCG64 holds its seed words, so live words are live generators
+        live = [0, 0]  # now, most ever
+
+        class Counted(sde_sim._SeedWords):
+            def __init__(self, words):
+                super().__init__(words)
+                live[0] += 1
+                live[1] = max(live)
+
+            def __del__(self):
+                live[0] -= 1
+
+        monkeypatch.setattr(sde_sim, "_SeedWords", Counted)
+        report = hitting_time(STOCH, LOG_EULER, (0.55, 0.6),
+                              Region(5.0, 6.0, 5.0, 6.0), n_paths=2000,
+                              seed0=0, t_cap=0.02)
+        assert report.fraction_censored == 1.0
+        assert live[1] <= 4  # a path's pair, and its predecessor's
+
+
 def _batch(**kw):
     from lglab.ode_sim import integrate_batch
     args = {"h": 0.01, "n_steps": 10, "tail_start": 0, **kw}
@@ -264,7 +364,7 @@ class TestCounts:
         def refuse(*args):
             raise AssertionError("a generator was built")
 
-        monkeypatch.setattr(sde_sim, "_component_rng", refuse)
+        monkeypatch.setattr(sde_sim, "_streams", refuse)
 
     @pytest.mark.parametrize("count", COUNTS)
     @pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(2.0), True,
@@ -484,7 +584,7 @@ class TestUpperPrey:
 
 
 class Huge:
-    """A generator in place of _component_rng's whose every draw is g."""
+    """A generator in place of one of _streams' whose every draw is g."""
 
     def __init__(self, g):
         self.g = g
@@ -494,6 +594,14 @@ class Huge:
             return np.full(size, self.g)
         out[...] = self.g
         return out
+
+
+def _huge_predator(g):
+    """_streams with Huge(g) as the predator's generator of seeds 2 and 3."""
+    real = sde_sim._streams
+    return lambda seeds: (
+        (gen1, Huge(g) if seed in (2, 3) else gen2)
+        for seed, (gen1, gen2) in zip(seeds, real(seeds)))
 
 
 class TestOverflow:
@@ -531,17 +639,13 @@ class TestOverflow:
     @pytest.mark.parametrize("scheme, g", [(LOG_EULER, 1e5),
                                            (MILSTEIN, 1e160)])
     def test_ensemble_names_the_first_bad_path(self, monkeypatch, scheme, g):
-        real = sde_sim._component_rng
-        monkeypatch.setattr(sde_sim, "_component_rng", lambda seed, c: (
-            Huge(g) if seed in (2, 3) and c == 1 else real(seed, c)))
+        monkeypatch.setattr(sde_sim, "_streams", _huge_predator(g))
         with pytest.raises(NonFinite, match="^non-finite state on path 2$"):
             ensemble(STOCH, (0.55, 0.6), scheme, n_paths=4, seed0=0,
                      t_max=0.5, checkpoints=[0.5], h=0.01)
 
     def test_hitting_names_the_first_bad_path(self, monkeypatch):
-        real = sde_sim._component_rng
-        monkeypatch.setattr(sde_sim, "_component_rng", lambda seed, c: (
-            Huge(1e5) if seed in (2, 3) and c == 1 else real(seed, c)))
+        monkeypatch.setattr(sde_sim, "_streams", _huge_predator(1e5))
         with pytest.raises(NonFinite, match="^non-finite state on path 2$"):
             hitting_time(STOCH, LOG_EULER, (0.55, 0.6),
                          Region(5.0, 6.0, 5.0, 6.0), 4, 0, 0.5)
@@ -832,8 +936,8 @@ class TestStationary:
     def test_bad_scheme_or_start_refused_before_noise(self, monkeypatch, kw,
                                                       match):
         built = []
-        real = sde_sim._component_rng
-        monkeypatch.setattr(sde_sim, "_component_rng",
+        real = sde_sim._streams
+        monkeypatch.setattr(sde_sim, "_streams",
                             lambda *a: built.append(a) or real(*a))
         args = dict(scheme=LOG_EULER, burn_in=2.0, t_max=10.0, bins=10,
                     h=0.01) | kw
